@@ -15,9 +15,10 @@ from . import ops
 from . import tensor as T
 from .gradcheck import DEFAULT_TOLERANCE, relative_error
 from .heads import change_loss, seg_loss
+from .optim import UncertaintyWeights
 from .tensor import Tensor
 
-__all__ = ["CheckResult", "run_all", "check_names"]
+__all__ = ["CheckResult", "run_all"]
 
 
 @dataclass
@@ -192,15 +193,13 @@ def _loss_cpa(rng):
                    rng.random((3, 3)) + 0.2, rng.random((3, 3)) + 0.2]
 
 def _loss_merge(rng):
-    # the exact merge composition with squared stand-ins keeping both task
-    # losses positive; gradients checked in s1, s2 and the losses themselves
+    # the model's merge with squared stand-ins keeping both task losses
+    # positive; gradients checked in s1, s2 and the losses themselves
+    weights = UncertaintyWeights()
+
     def build(s1, s2, la, lb):
-        v1, v2 = T.exp(s1), T.exp(s2)
-        weighted = T.add(T.div(T.mul(la, la), T.affine(v1, 2.0)),
-                         T.div(T.mul(lb, lb), T.affine(v2, 2.0)))
-        regular = T.add(T.log(T.affine(v1, 1.0, 1.0)),
-                        T.log(T.affine(v2, 1.0, 1.0)))
-        return T.add(weighted, regular)
+        weights.s1, weights.s2 = s1, s2
+        return weights.merge(T.mul(la, la), T.mul(lb, lb))
     return build, [rng.standard_normal(()), rng.standard_normal(()),
                    rng.uniform(0.5, 2.0, ()), rng.uniform(0.5, 2.0, ())]
 
@@ -223,10 +222,6 @@ _REGISTRY = {
     "loss-cpa": _loss_cpa,
     "loss-merge": _loss_merge,
 }
-
-
-def check_names() -> list[str]:
-    return list(_REGISTRY)
 
 
 def run_all(seeds, tolerance: float = DEFAULT_TOLERANCE) -> list[CheckResult]:

@@ -65,8 +65,6 @@ class RunConfig:
     use_sqmlfi: bool = True
     use_btff: bool = True
     use_mto: bool = True
-    per_channel_merge: bool = False
-    squared_kernel: bool = False
     # eval / gradcheck
     checkpoint: str = ""
     gradcheck_seeds: int = 5
@@ -80,9 +78,7 @@ class RunConfig:
         return ModelConfig(n_classes=n_classes, base_channels=self.base_channels,
                            seed=self.seed, use_gapl=self.use_gapl,
                            use_sqmlfi=self.use_sqmlfi, use_btff=self.use_btff,
-                           use_mto=self.use_mto,
-                           per_channel_merge=self.per_channel_merge,
-                           squared_kernel=self.squared_kernel, beta=self.beta)
+                           use_mto=self.use_mto, beta=self.beta)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)

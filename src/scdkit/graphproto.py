@@ -50,18 +50,15 @@ def median_sigma(features: np.ndarray, fallback: float = 1.0) -> float:
     return med if med > NORM_EPS else fallback
 
 
-def build_adjacency(f, sigma: float, squared_kernel: bool = False) -> Tensor:
+def build_adjacency(f, sigma: float) -> Tensor:
     """Dense graph weights A[m, n] = exp(-||f_m - f_n|| / (2 sigma^2)).
 
-    The norm is unsquared by default; ``squared_kernel`` switches to the
-    conventional Gaussian exp(-||.||^2 / (2 sigma^2)). Symmetric with unit
-    diagonal either way.
+    The distance enters the exponent unsquared. Symmetric with unit
+    diagonal.
     """
     if sigma <= 0:
         raise NumericError(f"build_adjacency: sigma must be positive, got {sigma}")
     dist = T.pairwise_l2(f)
-    if squared_kernel:
-        dist = T.mul(dist, dist)
     return T.exp(T.affine(dist, -1.0 / (2.0 * sigma * sigma)))
 
 
@@ -204,12 +201,11 @@ class GaplBranch(nn.Module):
     """
 
     def __init__(self, dim: int, n_classes: int, rng: np.random.Generator,
-                 beta: float = 0.9, squared_kernel: bool = False):
+                 beta: float = 0.9):
         super().__init__()
         self.aggregator = GraphAggregator(dim, rng)
         self.bank = PrototypeBank(n_classes, dim, beta=beta)
         self.n_classes = n_classes
-        self.squared_kernel = squared_kernel
 
     @staticmethod
     def _flatten_nodes(x) -> Tensor:
@@ -220,7 +216,7 @@ class GaplBranch(nn.Module):
     def _temporal_prototypes(self, x4, confidence: np.ndarray):
         nodes = self._flatten_nodes(x4)
         sigma = median_sigma(nodes.data)
-        adj = build_adjacency(nodes, sigma, squared_kernel=self.squared_kernel)
+        adj = build_adjacency(nodes, sigma)
         agg = self.aggregator(nodes, adj)
         flat_conf = confidence.transpose(0, 2, 3, 1).reshape(-1, self.n_classes)
         return compute_prototypes(agg, flat_conf)

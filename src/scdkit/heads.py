@@ -14,36 +14,24 @@ from . import tensor as T
 from .errors import DataError, ShapeError
 from .tensor import Tensor
 
-__all__ = ["SegHead", "ChangeHead", "cross_entropy", "seg_loss", "change_loss"]
+__all__ = ["Head", "cross_entropy", "seg_loss", "change_loss"]
 
 
-class SegHead(nn.Module):
-    """Two 1x1 convs (relu between) producing semantic logits."""
+class Head(nn.Module):
+    """conv(kernel x kernel, same size) -> relu -> conv1x1 onto ``n_out`` logits.
 
-    def __init__(self, in_channels: int, hidden: int, n_classes: int,
+    The model uses a 1x1 head for semantic classes and a 3x3 head for the
+    two change logits.
+    """
+
+    def __init__(self, in_channels: int, hidden: int, n_out: int, kernel: int,
                  rng: np.random.Generator):
         super().__init__()
-        self.conv1 = nn.Conv2d(in_channels, hidden, 1, rng)
-        self.conv2 = nn.Conv2d(hidden, n_classes, 1, rng)
-        self.n_classes = n_classes
+        self.conv1 = nn.Conv2d(in_channels, hidden, kernel, rng, padding=kernel // 2)
+        self.conv2 = nn.Conv2d(hidden, n_out, 1, rng)
 
     def forward(self, x, out_hw=None):
         """Logits at input scale; also upsampled to ``out_hw`` when given."""
-        logits = self.conv2(T.relu(self.conv1(x)))
-        if out_hw is None:
-            return logits
-        return logits, ops.bilinear_resize(logits, out_hw)
-
-
-class ChangeHead(nn.Module):
-    """conv3x3 -> relu -> conv1x1 onto 2 change logits."""
-
-    def __init__(self, in_channels: int, hidden: int, rng: np.random.Generator):
-        super().__init__()
-        self.conv1 = nn.Conv2d(in_channels, hidden, 3, rng, padding=1)
-        self.conv2 = nn.Conv2d(hidden, 2, 1, rng)
-
-    def forward(self, x, out_hw=None):
         logits = self.conv2(T.relu(self.conv1(x)))
         if out_hw is None:
             return logits

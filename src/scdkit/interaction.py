@@ -43,22 +43,14 @@ class SelfQueryLevel(nn.Module):
 
 
 class LevelMerge(nn.Module):
-    """Learned blend of the four resized levels.
+    """Learned blend of the four resized levels: one weight per level plus a
+    scalar bias, both shared over channels and positions."""
 
-    Scalar mode keeps one weight per level plus a scalar bias (shared over
-    channels and positions); per-channel mode learns a (4, C) weight table
-    and a per-channel bias.
-    """
-
-    def __init__(self, n_levels: int, channels: int, rng: np.random.Generator,
-                 per_channel: bool = False):
+    def __init__(self, n_levels: int, rng: np.random.Generator):
         super().__init__()
-        self.per_channel = per_channel
         bound = np.sqrt(1.0 / n_levels)
-        shape = (n_levels, channels) if per_channel else (n_levels,)
-        self.weight = nn.Parameter(rng.uniform(-bound, bound, size=shape))
-        self.bias = nn.Parameter(rng.uniform(-bound, bound,
-                                             size=(channels,) if per_channel else ()))
+        self.weight = nn.Parameter(rng.uniform(-bound, bound, size=(n_levels,)))
+        self.bias = nn.Parameter(rng.uniform(-bound, bound, size=()))
 
     def forward(self, levels) -> Tensor:
         n = self.weight.shape[0]
@@ -66,24 +58,18 @@ class LevelMerge(nn.Module):
             raise ShapeError(f"level merge: got {len(levels)} levels, expected {n}")
         acc = None
         for l, level in enumerate(levels):
-            w_l = T.select_index(self.weight, l, axis=0)
-            term = ops.channel_affine(level, scale=w_l) if self.per_channel \
-                else T.mul(level, w_l)
+            term = T.mul(level, T.select_index(self.weight, l, axis=0))
             acc = term if acc is None else T.add(acc, term)
-        if self.per_channel:
-            return ops.channel_affine(acc, shift=self.bias)
         return T.add(acc, self.bias)
 
 
 class SqmlfiBranch(nn.Module):
     """Self-query enhancement of all four levels and their learned merge."""
 
-    def __init__(self, level_channels, fusion_channels: int, rng: np.random.Generator,
-                 per_channel_merge: bool = False):
+    def __init__(self, level_channels, fusion_channels: int, rng: np.random.Generator):
         super().__init__()
         self.levels = [SelfQueryLevel(c, fusion_channels, rng) for c in level_channels]
-        self.merge = LevelMerge(len(level_channels), fusion_channels, rng,
-                                per_channel=per_channel_merge)
+        self.merge = LevelMerge(len(level_channels), rng)
         self.out_channels = fusion_channels
 
     def forward(self, pyramid: FeaturePyramid) -> Tensor:

@@ -57,13 +57,6 @@ class ConfusionMatrix:
         self.m += other.m
         return self
 
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.n_classes != self.n_classes:
-            raise ShapeError("add: class count mismatch")
-        out = ConfusionMatrix(self.n_classes)
-        out.m = self.m + other.m
-        return out
-
     def total(self) -> int:
         return int(self.m.sum())
 

@@ -10,7 +10,8 @@ learned variances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,15 +21,12 @@ from .backbone import EncoderConfig, SiameseEncoder
 from .errors import ConfigError, FormatError
 from .fusion import BtffBranch
 from .graphproto import GaplBranch, pool_confidence
-from .heads import ChangeHead, SegHead, change_loss, seg_loss
+from .heads import Head, change_loss, seg_loss
 from .interaction import ConcatLevels, SqmlfiBranch
 from .optim import UncertaintyWeights
 from .tensor import Tensor
 
 __all__ = ["ModelConfig", "ChangeDetectionModel"]
-
-_CONFIG_KEYS = ("n_classes", "base_channels", "seed", "use_gapl", "use_sqmlfi",
-                "use_btff", "use_mto", "per_channel_merge", "squared_kernel", "beta")
 
 
 @dataclass(frozen=True)
@@ -40,8 +38,6 @@ class ModelConfig:
     use_sqmlfi: bool = True
     use_btff: bool = True
     use_mto: bool = True
-    per_channel_merge: bool = False
-    squared_kernel: bool = False
     beta: float = 0.9
 
     def __post_init__(self):
@@ -70,18 +66,17 @@ class ChangeDetectionModel(nn.Module):
 
         self.encoder = SiameseEncoder(EncoderConfig(cfg.base_channels, seed=cfg.seed))
         if cfg.use_sqmlfi:
-            self.interaction = SqmlfiBranch(chans, cfg.merge_channels, stream(1),
-                                            per_channel_merge=cfg.per_channel_merge)
+            self.interaction = SqmlfiBranch(chans, cfg.merge_channels, stream(1))
         else:
             self.interaction = ConcatLevels(chans)
         self.fuser = BtffBranch(chans, cfg.change_channels, stream(2),
                                 use_concat=not cfg.use_btff)
-        self.seg_head = SegHead(self.interaction.out_channels, cfg.merge_channels,
-                                cfg.n_classes, stream(3))
-        self.change_head = ChangeHead(self.fuser.out_channels, cfg.change_channels,
-                                      stream(4))
-        self.gapl = GaplBranch(chans[3], cfg.n_classes, stream(5), beta=cfg.beta,
-                               squared_kernel=cfg.squared_kernel) if cfg.use_gapl else None
+        self.seg_head = Head(self.interaction.out_channels, cfg.merge_channels,
+                             cfg.n_classes, 1, stream(3))
+        self.change_head = Head(self.fuser.out_channels, cfg.change_channels, 2, 3,
+                                stream(4))
+        self.gapl = GaplBranch(chans[3], cfg.n_classes, stream(5),
+                               beta=cfg.beta) if cfg.use_gapl else None
         self.uncertainty = UncertaintyWeights() if cfg.use_mto else None
 
     @property
@@ -147,8 +142,8 @@ class ChangeDetectionModel(nn.Module):
 
     def checkpoint_state(self) -> dict[str, np.ndarray]:
         state = {f"model.{k}": v for k, v in self.state_dict().items()}
-        for key in _CONFIG_KEYS:
-            state[f"config.{key}"] = np.asarray(float(getattr(self._cfg, key)))
+        for f in fields(ModelConfig):
+            state[f"config.{f.name}"] = np.asarray(float(getattr(self._cfg, f.name)))
         if self.gapl is not None:
             state.update(self.gapl.bank.state("bank"))
         return state
@@ -162,18 +157,14 @@ class ChangeDetectionModel(nn.Module):
 
     @classmethod
     def config_from_state(cls, state: dict[str, np.ndarray]) -> ModelConfig:
+        """Rebuild the config from its ``config.*`` entries, each cast to the
+        field's declared type; entries of no current field are ignored."""
+        types = typing.get_type_hints(ModelConfig)
         try:
-            raw = {k: float(state[f"config.{k}"]) for k in _CONFIG_KEYS}
+            kwargs = {f.name: types[f.name](float(state[f"config.{f.name}"]))
+                      for f in fields(ModelConfig)}
         except KeyError as exc:
             raise FormatError(f"checkpoint is missing config entry {exc}") from exc
-        kwargs = {}
-        for key, value in raw.items():
-            if key in ("beta",):
-                kwargs[key] = value
-            elif key.startswith(("use_", "per_", "squared")):
-                kwargs[key] = bool(value)
-            else:
-                kwargs[key] = int(value)
         return ModelConfig(**kwargs)
 
     @classmethod

@@ -23,7 +23,6 @@ __all__ = [
     "as_tensor",
     "backward",
     "detach",
-    "zero_grads",
     "add",
     "sub",
     "mul",
@@ -102,10 +101,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        """Read-only view of the underlying buffer."""
-        return self.data
 
     def zero_grad(self) -> None:
         if self.grad is not None:
@@ -251,11 +246,6 @@ def backward(loss: Tensor) -> None:
                 flowing[id(parent)] = pg.astype(np.float64, copy=True)
             else:
                 acc += pg
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 # ---------------------------------------------------------------------------

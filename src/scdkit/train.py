@@ -46,43 +46,34 @@ def evaluate(model: ChangeDetectionModel, samples: list[Sample],
     return scores(cm)
 
 
-def _capture_grads(params) -> list[np.ndarray]:
-    return [p.grad.copy() for p in params]
-
-
 def _combined_step(model: ChangeDetectionModel, losses: dict) -> None:
-    """Backward passes + gradient rotation; leaves combined grads on params."""
-    rotate = model.gapl is not None and model.uncertainty is not None
-    params = model.parameters()
-    shared = model.shared_parameters()
+    """Backward passes + gradient rotation; leaves combined grads on params.
 
-    if model.gapl is None:
-        model.zero_grad()
-        T.backward(losses["loss_merge"])
-        return
-    if not rotate:
-        model.zero_grad()
+    Without the uncertainty merge, or with a constant ``loss_cpa`` (graph
+    branch ablated, or a cold bank with nothing to compare), one backward of
+    merge + cpa gives the combined gradient. Otherwise each loss
+    backpropagates on its own and the shared gradients are rotated.
+    """
+    model.zero_grad()
+    if model.uncertainty is None or not losses["loss_cpa"].requires_grad:
         T.backward(T.add(losses["loss_merge"], losses["loss_cpa"]))
         return
 
-    model.zero_grad()
+    params = model.parameters()
+    shared = model.shared_parameters()
     T.backward(losses["loss_merge"])
-    g_merge = _capture_grads(params)
+    g_merge = {id(p): p.grad.copy() for p in params}
     model.zero_grad()
     T.backward(losses["loss_cpa"])
-    g_cpa = _capture_grads(params)
 
-    shared_ids = {id(p) for p in shared}
-    sel = [i for i, p in enumerate(params) if id(p) in shared_ids]
-    flat_a = optim.flatten_arrays([g_merge[i] for i in sel])
-    flat_b = optim.flatten_arrays([g_cpa[i] for i in sel])
-    rot_a, rot_b = optim.rotate_gradients(flat_a, flat_b)
-    combined_shared = optim.unflatten_vector(rot_a + rot_b, [g_merge[i] for i in sel])
-
-    for i, p in enumerate(params):
-        p.grad[...] = g_merge[i] + g_cpa[i]
-    for i, g in zip(sel, combined_shared):
-        params[i].grad[...] = g
+    shared_merge = [g_merge[id(p)] for p in shared]
+    rot_a, rot_b = optim.rotate_gradients(
+        optim.flatten_arrays(shared_merge),
+        optim.flatten_arrays([p.grad for p in shared]))
+    for p in params:
+        p.grad += g_merge[id(p)]
+    for p, g in zip(shared, optim.unflatten_vector(rot_a + rot_b, shared_merge)):
+        p.grad[...] = g
 
 
 def _checkpoint_payload(model, adam, names, epoch) -> dict[str, np.ndarray]:

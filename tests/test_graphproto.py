@@ -39,12 +39,6 @@ class TestAdjacency:
         got = gp.build_adjacency(Tensor(f), sigma).data
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_squared_kernel_variant(self, rng):
-        f = rng.standard_normal((6, 2))
-        dist2 = np.sum((f[:, None] - f[None, :]) ** 2, axis=-1)
-        got = gp.build_adjacency(Tensor(f), 1.3, squared_kernel=True).data
-        np.testing.assert_allclose(got, np.exp(-dist2 / (2 * 1.3 ** 2)), atol=1e-12)
-
     def test_unit_diagonal_and_symmetry(self, rng):
         a = gp.build_adjacency(Tensor(rng.standard_normal((8, 5))), 0.5).data
         np.testing.assert_array_equal(np.diag(a), np.ones(8))

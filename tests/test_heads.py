@@ -6,7 +6,7 @@ import pytest
 from scdkit import tensor as T
 from scdkit.errors import DataError, ShapeError
 from scdkit.gradcheck import check
-from scdkit.heads import ChangeHead, SegHead, change_loss, cross_entropy, seg_loss
+from scdkit.heads import Head, change_loss, cross_entropy, seg_loss
 from scdkit.tensor import Tensor
 
 
@@ -17,7 +17,7 @@ def rng():
 
 class TestHeads:
     def test_seg_head_shapes(self, rng):
-        head = SegHead(6, 8, 4, rng)
+        head = Head(6, 8, 4, 1, rng)
         x = Tensor(rng.standard_normal((2, 6, 8, 8)))
         logits = head(x)
         assert logits.shape == (2, 4, 8, 8)
@@ -25,13 +25,13 @@ class TestHeads:
         assert small.shape == (2, 4, 8, 8) and big.shape == (2, 4, 32, 32)
 
     def test_change_head_two_channels(self, rng):
-        head = ChangeHead(6, 4, rng)
+        head = Head(6, 4, 2, 3, rng)
         logits = head(Tensor(rng.standard_normal((1, 6, 8, 8))))
         assert logits.shape == (1, 2, 8, 8)
 
     def test_upsampled_copy_matches_resize_of_logits(self, rng):
         from scdkit import ops
-        head = SegHead(3, 4, 2, rng)
+        head = Head(3, 4, 2, 1, rng)
         x = Tensor(rng.standard_normal((1, 3, 4, 4)))
         small, big = head(x, out_hw=(8, 8))
         np.testing.assert_array_equal(
@@ -116,7 +116,7 @@ class TestCombinedLosses:
                         np.zeros((1, 2, 2), dtype=int))
 
     def test_losses_backpropagate(self, rng):
-        head = SegHead(4, 4, 3, rng)
+        head = Head(4, 4, 3, 1, rng)
         x = Tensor(rng.standard_normal((1, 4, 4, 4)), requires_grad=True)
         loss = cross_entropy(head(x), rng.integers(0, 3, (1, 4, 4)))
         T.backward(loss)

@@ -78,23 +78,14 @@ class TestLevelMerge:
         return [Tensor(rng.standard_normal((2, c, hw, hw))) for _ in range(4)]
 
     def test_scalar_mode_oracle(self, rng):
-        merge = LevelMerge(4, 3, rng)
+        merge = LevelMerge(4, rng)
         lv = self.levels(rng)
         want = sum(float(merge.weight.data[l]) * lv[l].data for l in range(4))
         want = want + float(merge.bias.data)
         np.testing.assert_allclose(merge(lv).data, want, atol=1e-14)
 
-    def test_per_channel_mode_oracle(self, rng):
-        merge = LevelMerge(4, 3, rng, per_channel=True)
-        assert merge.weight.shape == (4, 3)
-        lv = self.levels(rng)
-        want = sum(merge.weight.data[l][None, :, None, None] * lv[l].data
-                   for l in range(4))
-        want = want + merge.bias.data[None, :, None, None]
-        np.testing.assert_allclose(merge(lv).data, want, atol=1e-14)
-
     def test_selector_weights_pick_one_level(self, rng):
-        merge = LevelMerge(4, 2, rng)
+        merge = LevelMerge(4, rng)
         merge.weight.data[...] = [0.0, 1.0, 0.0, 0.0]
         merge.bias.data[...] = 0.0
         lv = self.levels(rng, c=2)
@@ -102,16 +93,15 @@ class TestLevelMerge:
 
     def test_init_bound(self):
         # blend weights start inside +-sqrt(1/n_levels)
-        merge = LevelMerge(4, 8, np.random.default_rng(0), per_channel=True)
+        merge = LevelMerge(4, np.random.default_rng(0))
         assert (np.abs(merge.weight.data) <= 0.5).all()
 
     def test_wrong_level_count(self, rng):
         with pytest.raises(ShapeError):
-            LevelMerge(4, 2, rng)(self.levels(rng, c=2)[:3])
+            LevelMerge(4, rng)(self.levels(rng, c=2)[:3])
 
-    @pytest.mark.parametrize("per_channel", [False, True])
-    def test_gradcheck(self, rng, per_channel):
-        merge = LevelMerge(4, 2, rng, per_channel=per_channel)
+    def test_gradcheck(self, rng):
+        merge = LevelMerge(4, rng)
         probe = Tensor(rng.standard_normal((1, 2, 3, 3)))
 
         def build(w, b, *lv):

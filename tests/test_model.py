@@ -147,9 +147,21 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b)
 
     def test_ablated_config_survives(self):
-        m = make(use_btff=False, per_channel_merge=True, beta=0.8)
+        m = make(use_btff=False, beta=0.8)
         cfg = ChangeDetectionModel.config_from_state(m.checkpoint_state())
         assert cfg == m.config
+
+    def test_checkpoint_with_dropped_options_still_loads(self, batch):
+        t1, t2 = batch[:2]
+        m = make()
+        state = m.checkpoint_state()
+        state["config.per_channel_merge"] = np.asarray(0.0)
+        state["config.squared_kernel"] = np.asarray(0.0)
+        clone = ChangeDetectionModel.from_checkpoint_state(state)
+        assert clone.config == m.config
+        m.eval(), clone.eval()
+        for a, b in zip(m.predict(t1, t2), clone.predict(t1, t2)):
+            np.testing.assert_array_equal(a, b)
 
     def test_missing_config_entry_rejected(self):
         state = make().checkpoint_state()

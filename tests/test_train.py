@@ -11,6 +11,7 @@ from scdkit.data import SceneSpec, collate, generate
 from scdkit.errors import NumericError
 from scdkit.metrics import ConfusionMatrix, scores
 from scdkit.model import ChangeDetectionModel, ModelConfig
+from scdkit.tensor import Tensor
 from scdkit.train import CSV_COLUMNS, evaluate, train_model, _combined_step
 
 
@@ -51,7 +52,8 @@ class TestEvaluate:
 
 
 class TestCombinedStep:
-    @pytest.mark.parametrize("kw", [{"use_gapl": False}, {"use_mto": False}])
+    @pytest.mark.parametrize("kw", [{"use_gapl": False}, {"use_mto": False},
+                                    {"use_gapl": False, "use_mto": False}])
     def test_single_backward_paths_match_plain_sum(self, samples, kw):
         t1, t2, y1, y2, cd = collate(samples)
         a, b = make(**kw), make(**kw)
@@ -62,6 +64,23 @@ class TestCombinedStep:
         out = b.forward_losses(t1, t2, y1, y2, cd)
         b.zero_grad()
         T.backward(T.add(out["loss_merge"], out["loss_cpa"]))
+        for pa, pb in zip(a.parameters(), b.parameters()):
+            np.testing.assert_array_equal(pa.grad, pb.grad)
+
+    def test_constant_cpa_matches_merge_backward(self, samples):
+        # a cold bank with no class comparable in both temporals makes
+        # loss_cpa a constant zero even when the graph branch is on
+        t1, t2, y1, y2, cd = collate(samples)
+        a, b = make(), make()
+        a.eval(), b.eval()
+
+        losses = a.forward_losses(t1, t2, y1, y2, cd)
+        losses["loss_cpa"] = Tensor(0.0)
+        _combined_step(a, losses)
+
+        out = b.forward_losses(t1, t2, y1, y2, cd)
+        b.zero_grad()
+        T.backward(out["loss_merge"])
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa.grad, pb.grad)
 
