@@ -57,7 +57,7 @@ class Sample:
     cd: np.ndarray   # (H, W) int64 binary
 
     def validate(self, n_classes: int) -> "Sample":
-        if self.y1.min() < 0 or max(self.y1.max(), self.y2.max()) >= n_classes:
+        if min(self.y1.min(), self.y2.min()) < 0 or max(self.y1.max(), self.y2.max()) >= n_classes:
             raise DataError("sample labels outside class range")
         if not np.array_equal(self.cd, (self.y1 != self.y2).astype(np.int64)):
             raise DataError("change mask inconsistent with semantic labels")
@@ -211,17 +211,23 @@ def load_dataset(directory) -> tuple[list[Sample], SceneSpec]:
         count = int(fields["count"])
     except KeyError as exc:
         raise DataError(f"{manifest}: missing manifest field {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"{manifest}: malformed manifest field: {exc}") from exc
     if len(names) != count:
         raise DataError(f"{manifest}: lists {len(names)} samples, count says {count}")
 
+    h, w = spec.size
+    shapes = {"t1": (3, h, w), "t2": (3, h, w), "y1": (h, w), "y2": (h, w), "cd": (h, w)}
     samples = []
     for name in names:
         parts = {p: read_tensor(os.path.join(directory, f"{name}.{p}.gtnsr"))
                  for p in _SAMPLE_PARTS}
-        sample = Sample(
-            t1=parts["t1"], t2=parts["t2"],
-            y1=parts["y1"].astype(np.int64), y2=parts["y2"].astype(np.int64),
-            cd=parts["cd"].astype(np.int64),
-        ).validate(spec.n_classes)
-        samples.append(sample)
+        for p, arr in parts.items():
+            if arr.shape != shapes[p]:
+                raise DataError(f"{name}.{p}: shape {arr.shape}, manifest says {shapes[p]}")
+        y1, y2, cd = (parts[p].astype(np.int64) for p in ("y1", "y2", "cd"))
+        if (y1 != parts["y1"]).any() or (y2 != parts["y2"]).any() or (cd != parts["cd"]).any():
+            raise DataError(f"{name}: label values are not integers")
+        samples.append(Sample(t1=parts["t1"], t2=parts["t2"], y1=y1, y2=y2, cd=cd)
+                       .validate(spec.n_classes))
     return samples, spec

@@ -24,7 +24,8 @@ class SelfQueryLevel(nn.Module):
     """Gate a level with its own sigmoid query, re-project, resize to reference.
 
     Computes conv -> relu -> batchnorm on x*q + x (q = sigmoid(conv(x))),
-    then bilinear-resizes to the reference spatial dims.
+    then bilinear-resizes to the reference spatial dims (a level already at
+    that size is returned as is).
     """
 
     def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
@@ -39,7 +40,7 @@ class SelfQueryLevel(nn.Module):
     def forward(self, x, ref_hw) -> Tensor:
         gated = T.add(T.mul(x, self.attention(x)), x)
         y = self.norm(T.relu(self.proj(gated)))
-        return ops.bilinear_resize(y, ref_hw)
+        return y if y.shape[2:] == tuple(ref_hw) else ops.bilinear_resize(y, ref_hw)
 
 
 class LevelMerge(nn.Module):
@@ -86,6 +87,6 @@ class ConcatLevels(nn.Module):
         self.out_channels = int(sum(level_channels))
 
     def forward(self, pyramid: FeaturePyramid) -> Tensor:
-        ref_hw = pyramid.levels[0].shape[2:]
-        resized = [ops.bilinear_resize(lv, ref_hw) for lv in pyramid.levels]
-        return T.concat(resized, axis=1)
+        first, *rest = pyramid.levels
+        resized = [ops.bilinear_resize(lv, first.shape[2:]) for lv in rest]
+        return T.concat([first] + resized, axis=1)

@@ -1,9 +1,11 @@
 """Image-shaped tensor ops: convolution, transposed convolution, bilinear
 resizing, batch normalization and per-channel helpers.
 
-Convolution is explicit im2col + matmul; the transposed convolution is its
-adjoint (the col2im scatter), so the two stay gradient-consistent by
-construction. All spatial tensors are (B, C, H, W).
+Convolution is a channels-first im2col, (B, C*k*k, OH*OW), times the
+(Cout, C*k*k) weight matrix; the transposed convolution is its adjoint (the
+col2im scatter), so the two stay gradient-consistent by construction.
+Bilinear resizing is separable: one interpolation matrix per spatial axis.
+All spatial tensors are (B, C, H, W).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ def _conv_out_hw(h, w, k, stride, pad):
 
 
 def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """(B, C, H, W) -> (B*OH*OW, C*k*k) patch matrix."""
+    """(B, C, H, W) -> (B, C*k*k, OH*OW) channels-first patch matrix."""
     b, c, h, w = x.shape
     oh, ow = _conv_out_hw(h, w, k, stride, pad)
     img = np.pad(x, [(0, 0), (0, 0), (pad, pad), (pad, pad)])
@@ -43,14 +45,15 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
         for j in range(k):
             j_max = j + stride * ow
             col[:, :, i, j, :, :] = img[:, :, i:i_max:stride, j:j_max:stride]
-    return col.transpose(0, 4, 5, 1, 2, 3).reshape(b * oh * ow, c * k * k)
+    return col.reshape(b, c * k * k, oh * ow)
 
 
 def col2im(col: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of :func:`im2col`: scatter-add patches back to (B, C, H, W)."""
+    """Adjoint of :func:`im2col`: scatter-add (B, C*k*k, OH*OW) patches back
+    to (B, C, H, W)."""
     b, c, h, w = x_shape
     oh, ow = _conv_out_hw(h, w, k, stride, pad)
-    col = col.reshape(b, oh, ow, c, k, k).transpose(0, 3, 4, 5, 1, 2)
+    col = col.reshape(b, c, k, k, oh, ow)
     img = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=np.float64)
     for i in range(k):
         i_max = i + stride * oh
@@ -78,26 +81,24 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(f"conv2d: output would be empty for input {x.shape}, k={k}, "
                          f"stride={stride}, pad={padding}")
 
-    col = im2col(x.data, k, stride, padding)           # (B*OH*OW, Cin*k*k)
+    col = im2col(x.data, k, stride, padding)           # (B, Cin*k*k, OH*OW)
     wmat = weight.data.reshape(cout, -1)               # (Cout, Cin*k*k)
-    out_mat = col @ wmat.T                             # (B*OH*OW, Cout)
+    out = wmat @ col                                   # (B, Cout, OH*OW)
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (cout,):
             raise ShapeError(f"conv2d: bias {bias.shape}, expected ({cout},)")
-        out_mat = out_mat + bias.data
-    out = out_mat.reshape(b, oh, ow, cout).transpose(0, 3, 1, 2)
+        out += bias.data[:, None]
     x_shape = x.shape
 
     def bw(g):
-        g_mat = g.transpose(0, 2, 3, 1).reshape(-1, cout)
-        gx = col2im(g_mat @ wmat, x_shape, k, stride, padding)
-        gw = (g_mat.T @ col).reshape(cout, cin, k, k)
-        gb = g_mat.sum(axis=0) if bias is not None else None
-        return (gx, gw, gb) if bias is not None else (gx, gw)
+        g3 = g.reshape(b, cout, oh * ow)
+        gx = col2im(wmat.T @ g3, x_shape, k, stride, padding)
+        gw = (g3 @ col.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, k, k)
+        return (gx, gw, g3.sum(axis=(0, 2))) if bias is not None else (gx, gw)
 
     inputs = (x, weight, bias) if bias is not None else (x, weight)
-    return _record("conv2d", np.ascontiguousarray(out), inputs, bw)
+    return _record("conv2d", out.reshape(b, cout, oh, ow), inputs, bw)
 
 
 def conv_transpose2d(x, weight, bias=None, stride: int = 2, padding: int = 1) -> Tensor:
@@ -124,10 +125,9 @@ def conv_transpose2d(x, weight, bias=None, stride: int = 2, padding: int = 1) ->
         raise ShapeError(f"conv_transpose2d: input {x.shape} is not a valid conv output "
                          f"for k={k}, stride={stride}, pad={padding}")
 
-    x_mat = x.data.transpose(0, 2, 3, 1).reshape(-1, cin)     # (B*H*W, Cin)
+    x3 = x.data.reshape(b, cin, h * w)
     wmat = weight.data.reshape(cin, -1)                       # (Cin, Cout*k*k)
-    out_shape = (b, cout, oh, ow)
-    out = col2im(x_mat @ wmat, out_shape, k, stride, padding)
+    out = col2im(wmat.T @ x3, (b, cout, oh, ow), k, stride, padding)
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (cout,):
@@ -135,12 +135,10 @@ def conv_transpose2d(x, weight, bias=None, stride: int = 2, padding: int = 1) ->
         out = out + bias.data[None, :, None, None]
 
     def bw(g):
-        g_col = im2col(g, k, stride, padding)                 # (B*H*W, Cout*k*k)
-        gx = (g_col @ wmat.T).reshape(b, h, w, cin).transpose(0, 3, 1, 2)
-        gw = (x_mat.T @ g_col).reshape(cin, cout, k, k)
-        gb = g.sum(axis=(0, 2, 3)) if bias is not None else None
-        return (np.ascontiguousarray(gx), gw, gb) if bias is not None \
-            else (np.ascontiguousarray(gx), gw)
+        g_col = im2col(g, k, stride, padding)                 # (B, Cout*k*k, H*W)
+        gx = (wmat @ g_col).reshape(b, cin, h, w)
+        gw = (x3 @ g_col.transpose(0, 2, 1)).sum(axis=0).reshape(cin, cout, k, k)
+        return (gx, gw, g.sum(axis=(0, 2, 3))) if bias is not None else (gx, gw)
 
     inputs = (x, weight, bias) if bias is not None else (x, weight)
     return _record("conv_transpose2d", np.ascontiguousarray(out), inputs, bw)
@@ -150,47 +148,35 @@ def conv_transpose2d(x, weight, bias=None, stride: int = 2, padding: int = 1) ->
 # bilinear resize
 # ---------------------------------------------------------------------------
 
-def _resize_weights(in_size: int, out_size: int):
-    # half-pixel-center sampling; constants are exact fixed points
+def _resize_matrix(in_size: int, out_size: int) -> np.ndarray:
+    """(out, in) half-pixel-center interpolation weights, clamped at the
+    borders; every row sums to 1."""
     src = (np.arange(out_size) + 0.5) * (in_size / out_size) - 0.5
     i0 = np.floor(src).astype(np.int64)
     frac = src - i0
-    lo = np.clip(i0, 0, in_size - 1)
-    hi = np.clip(i0 + 1, 0, in_size - 1)
-    return lo, hi, frac
+    rows = np.arange(out_size)
+    m = np.zeros((out_size, in_size), dtype=np.float64)
+    m[rows, np.clip(i0, 0, in_size - 1)] += 1.0 - frac
+    m[rows, np.clip(i0 + 1, 0, in_size - 1)] += frac
+    return m
 
 
 def bilinear_resize(x, out_hw) -> Tensor:
-    """Bilinear interpolation of (B, C, H, W) to spatial size ``out_hw``."""
+    """Bilinear interpolation of (B, C, H, W) to spatial size ``out_hw``:
+    ``R @ x @ C.T`` with separable row and column weights."""
     x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"bilinear_resize: expects (B, C, H, W), got {x.shape}")
-    b, c, h, w = x.shape
+    h, w = x.shape[2:]
     oh, ow = int(out_hw[0]), int(out_hw[1])
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"bilinear_resize: invalid target size {out_hw}")
-    rlo, rhi, rf = _resize_weights(h, oh)
-    clo, chi, cf = _resize_weights(w, ow)
-
-    rows = x.data[:, :, rlo, :] * (1.0 - rf)[None, None, :, None] \
-        + x.data[:, :, rhi, :] * rf[None, None, :, None]
-    out = rows[:, :, :, clo] * (1.0 - cf)[None, None, None, :] \
-        + rows[:, :, :, chi] * cf[None, None, None, :]
+    r, c = _resize_matrix(h, oh), _resize_matrix(w, ow)
 
     def bw(g):
-        g_rows = np.zeros((b, c, oh, w), dtype=np.float64)
-        np.add.at(g_rows, (slice(None), slice(None), slice(None), clo),
-                  g * (1.0 - cf)[None, None, None, :])
-        np.add.at(g_rows, (slice(None), slice(None), slice(None), chi),
-                  g * cf[None, None, None, :])
-        gx = np.zeros((b, c, h, w), dtype=np.float64)
-        np.add.at(gx, (slice(None), slice(None), rlo, slice(None)),
-                  g_rows * (1.0 - rf)[None, None, :, None])
-        np.add.at(gx, (slice(None), slice(None), rhi, slice(None)),
-                  g_rows * rf[None, None, :, None])
-        return (gx,)
+        return (r.T @ g @ c,)
 
-    return _record("bilinear_resize", np.ascontiguousarray(out), (x,), bw)
+    return _record("bilinear_resize", r @ x.data @ c.T, (x,), bw)
 
 
 # ---------------------------------------------------------------------------

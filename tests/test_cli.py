@@ -4,6 +4,7 @@ import pytest
 
 from scdkit import cli
 from scdkit.errors import ConfigError
+from scdkit.serialize import read_tensor, write_tensor
 
 
 def run(capsys, *argv):
@@ -127,6 +128,54 @@ class TestTrainEval:
                            "--set", f"data_dir={other}",
                            "--set", f"run_dir={rd}")
         assert code == 3 and "classes" in err
+
+
+def edit_sample(dataset, **edits):
+    """Rewrite parts of sample 0000: ``part=fn(array) -> array``."""
+    for part, fn in edits.items():
+        path = dataset / f"0000.{part}.gtnsr"
+        write_tensor(path, fn(read_tensor(path)))
+
+
+def set_pixel(value):
+    def fn(arr):
+        arr = arr.copy()
+        arr[0, 0] = value
+        return arr
+    return fn
+
+
+class TestMalformedDatasetExits3:
+    """Manifest, shape and label faults are data errors, not crashes."""
+
+    def train(self, capsys, dataset, tmp_path):
+        code, _, err = run(capsys, "train", "--set", f"data_dir={dataset}",
+                           "--set", f"run_dir={tmp_path / 'run'}", *TRAIN_SETS)
+        return code, err
+
+    def test_non_integer_manifest_field(self, dataset, tmp_path, capsys):
+        manifest = dataset / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("height=64", "height=abc"))
+        code, err = self.train(capsys, dataset, tmp_path)
+        assert code == 3 and "manifest" in err
+
+    def test_image_shape_disagrees_with_manifest(self, dataset, tmp_path, capsys):
+        edit_sample(dataset, t1=lambda a: a[:, :32, :].copy())
+        code, err = self.train(capsys, dataset, tmp_path)
+        assert code == 3 and "shape" in err
+
+    def test_negative_y2_label(self, dataset, tmp_path, capsys):
+        # the change mask is kept consistent so only the sign is wrong
+        y1 = read_tensor(dataset / "0000.y1.gtnsr")
+        edit_sample(dataset, y2=set_pixel(-1.0), cd=set_pixel(float(y1[0, 0] != -1.0)))
+        code, err = self.train(capsys, dataset, tmp_path)
+        assert code == 3 and "class range" in err
+
+    def test_fractional_label(self, dataset, tmp_path, capsys):
+        # 1.5 would truncate to 1, consistent with y2 = 1 and no change
+        edit_sample(dataset, y1=set_pixel(1.5), y2=set_pixel(1.0), cd=set_pixel(0.0))
+        code, err = self.train(capsys, dataset, tmp_path)
+        assert code == 3 and "integers" in err
 
 
 class TestGradcheckCommand:

@@ -16,10 +16,24 @@ def rng():
     return np.random.default_rng(19)
 
 
-def make_pyramid(rng, b=1, base=2, hw=32):
-    levels = [Tensor(rng.standard_normal((b, base * (2 ** i), hw >> (2 + i), hw >> (2 + i))))
+def make_pyramid(rng, b=1, base=2, hw=32, requires_grad=False):
+    levels = [Tensor(rng.standard_normal((b, base * (2 ** i), hw >> (2 + i), hw >> (2 + i))),
+                     requires_grad=requires_grad)
               for i in range(4)]
     return FeaturePyramid(levels=levels)
+
+
+def count_ops(out, op):
+    """Tape entries named ``op`` in the graph that produced ``out``."""
+    seen, stack, n = set(), [out], 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t._entry is None:
+            continue
+        seen.add(id(t))
+        n += t._entry.op == op
+        stack.extend(i for i in t._entry.inputs if isinstance(i, Tensor))
+    return n
 
 
 class TestSelfQueryLevel:
@@ -133,6 +147,27 @@ class TestSqmlfiBranch:
         T.backward(T.tsum(T.mul(out, out)))
         missing = [n for n, p in br.named_parameters() if p.grad is None]
         assert missing == []
+
+
+class TestNoIdentityResize:
+    """Level 0 is the reference scale: only the three deeper levels are resized."""
+
+    def test_three_resizes_per_call(self, rng):
+        pyr = make_pyramid(rng, base=2, hw=64, requires_grad=True)
+        for branch in (SqmlfiBranch((2, 4, 8, 16), 4, rng), ConcatLevels((2, 4, 8, 16))):
+            assert count_ops(branch(pyr), "bilinear_resize") == 3
+
+    def test_level_zero_passes_through(self, rng):
+        pyr = make_pyramid(rng, base=2, hw=64, requires_grad=True)
+        br = SqmlfiBranch((2, 4, 8, 16), 4, rng)
+        br.eval()
+        br.merge.weight.data[...] = [1.0, 0.0, 0.0, 0.0]
+        br.merge.bias.data[...] = 0.0
+        level0 = br.levels[0](pyr.levels[0], pyr.levels[0].shape[2:])
+        assert level0._entry.op == "batchnorm2d"
+        np.testing.assert_array_equal(br(pyr).data, level0.data)
+        cat = ConcatLevels((2, 4, 8, 16))(pyr)
+        assert cat._entry.inputs[0] is pyr.levels[0]
 
 
 class TestConcatLevels:

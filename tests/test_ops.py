@@ -33,6 +33,22 @@ def conv_reference(x, w, b, stride, pad):
     return out
 
 
+# (kernel, stride, padding) of every convolution the model builds
+MODEL_CONVS = [(1, 1, 0), (3, 1, 1), (3, 2, 1), (3, 4, 1)]
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("k,stride,pad", MODEL_CONVS)
+    def test_col2im_is_adjoint(self, rng, k, stride, pad):
+        # <im2col(x), y> == <x, col2im(y)>: col2im is the exact transpose
+        x = rng.standard_normal((2, 3, 7, 6))
+        col = ops.im2col(x, k, stride, pad)
+        y = rng.standard_normal(col.shape)
+        back = ops.col2im(y, x.shape, k, stride, pad)
+        assert back.shape == x.shape
+        assert np.sum(col * y) == pytest.approx(np.sum(x * back), rel=1e-12)
+
+
 class TestConv2d:
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1), (4, 1)])
     def test_matches_sliding_window_oracle(self, rng, stride, pad):
@@ -42,13 +58,15 @@ class TestConv2d:
         got = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=pad).data
         np.testing.assert_allclose(got, conv_reference(x, w, b, stride, pad), atol=1e-12)
 
-    def test_gradcheck(self, rng):
-        probe = Tensor(rng.standard_normal((2, 4, 3, 3)))
+    @pytest.mark.parametrize("k,stride,pad", MODEL_CONVS)
+    def test_gradcheck(self, rng, k, stride, pad):
+        oh = (6 + 2 * pad - k) // stride + 1
+        probe = Tensor(rng.standard_normal((2, 4, oh, oh)))
 
         def build(x, w, b):
-            return T.tsum(T.mul(ops.conv2d(x, w, b, stride=2, padding=1), probe))
+            return T.tsum(T.mul(ops.conv2d(x, w, b, stride=stride, padding=pad), probe))
         check(build, [rng.standard_normal((2, 3, 6, 6)),
-                      rng.standard_normal((4, 3, 3, 3)),
+                      rng.standard_normal((4, 3, k, k)),
                       rng.standard_normal(4)])
 
     def test_channel_mismatch_raises(self, rng):
@@ -63,13 +81,15 @@ class TestConvTranspose2d:
         w = Tensor(rng.standard_normal((4, 2, 4, 4)))
         assert ops.conv_transpose2d(x, w, stride=2, padding=1).shape == (1, 2, 10, 10)
 
-    def test_adjoint_of_conv(self, rng):
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (4, 2, 1)])
+    def test_adjoint_of_conv(self, rng, k, stride, pad):
         # <conv(x; W), y> == <x, deconv(y; W)> pins the construction
         x = rng.standard_normal((2, 3, 6, 6))
-        w = rng.standard_normal((4, 3, 3, 3))
-        y = rng.standard_normal((2, 4, 6, 6))
-        cx = ops.conv2d(Tensor(x), Tensor(w), stride=1, padding=1).data
-        dy = ops.conv_transpose2d(Tensor(y), Tensor(w), stride=1, padding=1).data
+        w = rng.standard_normal((4, 3, k, k))
+        oh = (6 + 2 * pad - k) // stride + 1
+        y = rng.standard_normal((2, 4, oh, oh))
+        cx = ops.conv2d(Tensor(x), Tensor(w), stride=stride, padding=pad).data
+        dy = ops.conv_transpose2d(Tensor(y), Tensor(w), stride=stride, padding=pad).data
         assert np.sum(cx * y) == pytest.approx(np.sum(x * dy), rel=1e-12)
 
     def test_gradcheck(self, rng):
@@ -120,12 +140,15 @@ class TestBilinearResize:
         x = rng.standard_normal((1, 2, 5, 5))
         np.testing.assert_array_equal(ops.bilinear_resize(Tensor(x), (5, 5)).data, x)
 
-    def test_gradcheck(self, rng):
-        probe = Tensor(rng.standard_normal((1, 2, 6, 5)))
+    @pytest.mark.parametrize("in_shape,out_hw", [((1, 2, 3, 4), (6, 5)),
+                                                 ((1, 2, 7, 9), (3, 4))],
+                             ids=["up", "down"])
+    def test_gradcheck(self, rng, in_shape, out_hw):
+        probe = Tensor(rng.standard_normal((1, 2) + out_hw))
 
         def build(x):
-            return T.tsum(T.mul(ops.bilinear_resize(x, (6, 5)), probe))
-        check(build, [rng.standard_normal((1, 2, 3, 4))])
+            return T.tsum(T.mul(ops.bilinear_resize(x, out_hw), probe))
+        check(build, [rng.standard_normal(in_shape)])
 
 
 class TestBatchNorm2d:
