@@ -107,8 +107,9 @@ class ChangeDetectionModel(nn.Module):
 
         if self.gapl is not None:
             factor = seg4[0].shape[2] // pyr1.levels[3].shape[2]
-            conf1 = pool_confidence(T.softmax(seg4[0], axis=1).data, factor)
-            conf2 = pool_confidence(T.softmax(seg4[1], axis=1).data, factor)
+            with T.no_grad():  # the confidences are constants of the loss
+                conf1 = pool_confidence(T.softmax(seg4[0], axis=1).data, factor)
+                conf2 = pool_confidence(T.softmax(seg4[1], axis=1).data, factor)
             loss_cpa, gapl_info = self.gapl(pyr1.levels[3], pyr2.levels[3], conf1, conf2)
         else:
             loss_cpa, gapl_info = Tensor(0.0), {}
@@ -126,8 +127,11 @@ class ChangeDetectionModel(nn.Module):
         }
 
     def predict(self, t1, t2):
-        """Argmax predictions (sem_t1, sem_t2, change) as int64 maps."""
-        _, _, _, seg_full, cd_full = self._heads(t1, t2)
+        """Argmax predictions (sem_t1, sem_t2, change) as int64 maps.
+
+        Runs tape-free: no backward follows, so nothing is recorded."""
+        with T.no_grad():
+            _, _, _, seg_full, cd_full = self._heads(t1, t2)
         return (np.argmax(seg_full[0].data, axis=1).astype(np.int64),
                 np.argmax(seg_full[1].data, axis=1).astype(np.int64),
                 np.argmax(cd_full.data, axis=1).astype(np.int64))

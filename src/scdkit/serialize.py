@@ -68,7 +68,11 @@ def tensor_from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     if end > len(buf):
         raise FormatError("truncated tensor payload")
     data = np.frombuffer(buf, dtype=_F64, count=count, offset=pos)
-    return data.astype(np.float64).reshape(shape), end
+    try:
+        # an empty payload passes the length check with any other dims
+        return data.astype(np.float64).reshape(shape), end
+    except ValueError as exc:
+        raise FormatError(f"tensor shape {shape} is not representable: {exc}") from exc
 
 
 def write_tensor(path, array: np.ndarray) -> None:

@@ -7,12 +7,22 @@ parent tensors and a backward closure) on their output; ``backward`` walks
 the recorded graph once, in reverse topological order, and accumulates
 gradients into the ``grad`` buffer of every requires-grad leaf.
 
+Grad mode: inside ``with no_grad():`` no op records anything, whatever its
+inputs. Results are constants (``requires_grad`` False, no tape entry), so
+the inputs, closures and temporary buffers of a forward pass die as soon as
+nothing else references them. Inference and values read only through
+``.data`` run this way. The switch is one module flag, shared by every
+thread, and the block restores its previous value on exit, exceptions
+included, so blocks nest.
+
 Broadcasting is deliberately restricted: binary ops accept operands of
 identical shape, or one single-element operand (scalar). Anything else
 must be reshaped explicitly so that shape bugs fail loudly.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -23,6 +33,7 @@ __all__ = [
     "as_tensor",
     "backward",
     "detach",
+    "no_grad",
     "add",
     "sub",
     "mul",
@@ -170,10 +181,24 @@ def detach(t: Tensor) -> Tensor:
     return Tensor(t.data.copy())
 
 
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape entries inside the block (see the module docstring)."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _record(op: str, out_data: np.ndarray, inputs, backward_fn) -> Tensor:
     _ensure_finite(op, out_data)
     out = Tensor(out_data)
-    if any(isinstance(t, Tensor) and t.requires_grad for t in inputs):
+    if _grad_enabled and any(isinstance(t, Tensor) and t.requires_grad for t in inputs):
         out.requires_grad = True
         out._entry = _TapeEntry(op, tuple(inputs), backward_fn)
     return out

@@ -6,12 +6,27 @@ both the uncertainty merge and the graph loss are active, the two losses
 backpropagate separately, the shared (encoder) gradients are conflict
 projected as flattened vectors, and only then does Adam see the combined
 gradient. A non-finite loss aborts the run; the last end-of-epoch
-checkpoint on disk is the recovery point.
+checkpoint on disk is the recovery point. ``report.txt`` also records the
+python, numpy and BLAS versions and ``OPENBLAS_NUM_THREADS``, since
+checkpoint bytes depend on them; ``history.csv`` and the checkpoint do not.
+
+Memory: a step's autodiff graph (every intermediate array, im2col buffer
+and backward closure) is released when the step returns its loss floats,
+so the next forward starts from an empty heap rather than on top of the
+previous graph. Freeing tens to hundreds of MiB per step makes glibc trim
+the heap top and unmap large blocks, and the next forward faults all of it
+back in page by page (thousands of minor faults per step, a slower step).
+``train_model`` therefore raises glibc's trim threshold to 1 GiB and fixes
+its mmap threshold at 32 MiB, once per process, so freed memory is kept
+for reuse; elsewhere it changes nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
+import platform
 import time
 
 import numpy as np
@@ -46,6 +61,38 @@ def evaluate(model: ChangeDetectionModel, samples: list[Sample],
     return scores(cm)
 
 
+_LOSS_KEYS = ("loss_ss", "loss_cd", "loss_cpa", "loss_merge")
+# mallopt parameters from glibc's <malloc.h>
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Stop glibc from returning freed step graphs to the OS (see above)."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+def _environment() -> dict[str, str]:
+    """The interpreter, numpy and BLAS set-up that produced a run's bytes."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_id = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.25 has no mode="dicts"
+        blas_id = "unknown"
+    return {"env.python": platform.python_version(), "env.numpy": np.__version__,
+            "env.blas": blas_id,
+            "env.openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset")}
+
+
 def _combined_step(model: ChangeDetectionModel, losses: dict) -> None:
     """Backward passes + gradient rotation; leaves combined grads on params.
 
@@ -76,6 +123,14 @@ def _combined_step(model: ChangeDetectionModel, losses: dict) -> None:
         p.grad[...] = g
 
 
+def _train_step(model: ChangeDetectionModel, adam: optim.Adam, batch) -> dict[str, float]:
+    """One optimizer step; the graph dies on return, only floats leave."""
+    losses = model.forward_losses(*batch)
+    _combined_step(model, losses)
+    adam.step()
+    return {key: losses[key].item() for key in _LOSS_KEYS}
+
+
 def _checkpoint_payload(model, adam, names, epoch) -> dict[str, np.ndarray]:
     state = model.checkpoint_state()
     state.update(adam.state(names))
@@ -92,6 +147,7 @@ def train_model(model: ChangeDetectionModel, samples: list[Sample], *,
     ``eval_every`` spaces out the metric computations (losses are logged
     every epoch regardless); the final epoch always evaluates.
     """
+    _keep_freed_memory()
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
     adam = optim.Adam(model.parameters(), lr=lr)
@@ -107,21 +163,19 @@ def train_model(model: ChangeDetectionModel, samples: list[Sample], *,
         adam.lr = optim.cosine_lr(lr, epoch, epochs)
         order = np.random.default_rng([seed, epoch]).permutation(len(samples))
         model.train()
-        sums = {"loss_ss": 0.0, "loss_cd": 0.0, "loss_cpa": 0.0, "loss_merge": 0.0}
+        sums = dict.fromkeys(_LOSS_KEYS, 0.0)
         n_batches = 0
         try:
             for idx in _batches(len(samples), batch_size, order):
-                t1, t2, y1, y2, cd = collate([samples[i] for i in idx])
-                losses = model.forward_losses(t1, t2, y1, y2, cd)
-                _combined_step(model, losses)
-                adam.step()
+                step = _train_step(model, adam, collate([samples[i] for i in idx]))
                 for key in sums:
-                    sums[key] += losses[key].item()
+                    sums[key] += step[key]
                 n_batches += 1
         except NumericError as exc:
             if run_dir:
                 write_report(os.path.join(run_dir, "report.txt"), {
                     "status": "aborted", "epoch": epoch, "error": str(exc),
+                    **_environment(),
                 })
             raise
 
@@ -147,7 +201,7 @@ def train_model(model: ChangeDetectionModel, samples: list[Sample], *,
     final.update({"epochs": epochs, "status": "ok",
                   "wall_seconds": round(time.monotonic() - t_start, 3)})
     if run_dir:
-        write_report(os.path.join(run_dir, "report.txt"), final)
+        write_report(os.path.join(run_dir, "report.txt"), {**final, **_environment()})
     return {"history": history, "final": final}
 
 

@@ -4,12 +4,14 @@ line each.
 Each test prints a [PASS]/[FAIL] line straight to the console (capture
 suspended for that one line) so a plain pytest run shows the per-criterion
 outcome, then asserts. Criteria 5 and 6 train real models and dominate the
-runtime of the whole suite; everything else is sub-second.
+runtime of the whole suite, so they carry the ``slow`` marker
+(``pytest -m "not slow"`` leaves them out); everything else is sub-second.
 """
 
 import time
 
 import numpy as np
+import pytest
 
 from scdkit import checks, optim
 from scdkit.data import SceneSpec, generate
@@ -141,6 +143,7 @@ def test_criterion_4_ema_bank_convergence(capsys):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_5_tiny_overfit(capsys):
     samples = generate(DATA, 8)
     model = ChangeDetectionModel(ModelConfig(n_classes=4, base_channels=8, seed=0))
@@ -155,6 +158,7 @@ def test_criterion_5_tiny_overfit(capsys):
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_6_ablation_trend(capsys):
     samples = generate(DATA, 64)
     variants = {"full": {}, "no-gapl": {"use_gapl": False},

@@ -1,10 +1,11 @@
 """CLI behavior: config resolution, subcommands, exit codes."""
 
+import numpy as np
 import pytest
 
 from scdkit import cli
 from scdkit.errors import ConfigError
-from scdkit.serialize import read_tensor, write_tensor
+from scdkit.serialize import read_tensor, save_checkpoint, write_tensor
 
 
 def run(capsys, *argv):
@@ -102,6 +103,17 @@ class TestTrainEval:
         code, _, err = run(capsys, "train",
                            "--set", f"data_dir={tmp_path / 'nope'}", *TRAIN_SETS)
         assert code == 3 and "error" in err
+
+    def test_unrepresentable_checkpoint_entry_exits_4(self, dataset, tmp_path, capsys):
+        # one entry's header claims shape (0, 2**63): an empty payload
+        # passes the length check, the shape itself cannot exist
+        ckpt = tmp_path / "empty.gckpt"
+        save_checkpoint(ckpt, {"empty": np.zeros((0, 2))})
+        ckpt.write_bytes(ckpt.read_bytes()[:-8] + (2 ** 63).to_bytes(8, "little"))
+        code, _, err = run(capsys, "eval", "--set", f"data_dir={dataset}",
+                           "--set", f"run_dir={tmp_path / 'eval'}",
+                           "--set", f"checkpoint={ckpt}")
+        assert code == 4 and "error" in err
 
     def test_missing_checkpoint_exits_3(self, dataset, tmp_path, capsys):
         code, _, _ = run(capsys, "eval",

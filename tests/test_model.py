@@ -67,6 +67,21 @@ class TestAssembly:
         assert shared < {id(p) for p in m.parameters()}
 
 
+def recorded_ops(monkeypatch) -> list[str]:
+    """The op name of every tape entry created from now on."""
+    ops = []
+
+    class Counting(T._TapeEntry):
+        __slots__ = ()
+
+        def __init__(self, op, inputs, backward_fn):
+            super().__init__(op, inputs, backward_fn)
+            ops.append(op)
+
+    monkeypatch.setattr(T, "_TapeEntry", Counting)
+    return ops
+
+
 VARIANTS = [{}, {"use_gapl": False}, {"use_sqmlfi": False},
             {"use_btff": False}, {"use_mto": False}]
 
@@ -110,6 +125,19 @@ class TestForward:
         assert p1.shape == (2, 64, 64) and p1.dtype == np.int64
         assert set(np.unique(pcd)) <= {0, 1}
         assert p1.max() < 3
+
+    def test_predict_records_no_tape_entry(self, batch, monkeypatch):
+        ops = recorded_ops(monkeypatch)
+        m = make()
+        m.eval()
+        m.predict(*batch[:2])
+        assert ops == []
+
+    def test_forward_losses_records_no_softmax(self, batch, monkeypatch):
+        # the GAPL confidences are read as constants, so they record nothing
+        ops = recorded_ops(monkeypatch)
+        make().forward_losses(*batch)
+        assert ops and "softmax" not in ops
 
     def test_total_loss_backpropagates_everywhere(self, batch):
         t1, t2, y1, y2, cd = batch

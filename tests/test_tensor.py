@@ -87,6 +87,40 @@ class TestTapeSemantics:
         assert np.array_equal(g1, g2)
 
 
+class TestGradMode:
+    def test_ops_on_grad_inputs_record_nothing(self, rng):
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        with T.no_grad():
+            outs = [T.mul(x, x), T.softmax(x, axis=1), T.tsum(T.exp(x)),
+                    T.matmul(x, T.transpose(x))]
+        for out in outs:
+            assert out._entry is None and not out.requires_grad
+        # values are the recorded ones
+        np.testing.assert_array_equal(outs[0].data, T.mul(x, x).data)
+
+    def test_flag_restored_after_exception(self):
+        x = Tensor([2.0], requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inside the block")
+        assert T.mul(x, x)._entry is not None
+
+    def test_nested_blocks_restore_outer_mode(self):
+        x = Tensor([2.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert T.mul(x, x)._entry is None
+        assert T.mul(x, x).requires_grad
+
+    def test_backward_through_no_grad_result_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with T.no_grad():
+            loss = T.tsum(T.mul(x, x))
+        with pytest.raises(AutodiffError):
+            backward(loss)
+
+
 class TestShapeRules:
     def test_binary_requires_same_shape_or_scalar(self, rng):
         a = Tensor(rng.standard_normal((2, 3)))

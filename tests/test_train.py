@@ -1,11 +1,13 @@
-"""Training loop artifacts: CSV, checkpoint, report, abort path."""
+"""Training loop artifacts: CSV, checkpoint, report, abort path, graph lifetime."""
 
+import ctypes
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from scdkit import optim, serialize
+from scdkit import optim, serialize, train
 from scdkit import tensor as T
 from scdkit.data import SceneSpec, collate, generate
 from scdkit.errors import NumericError
@@ -187,3 +189,62 @@ class TestTrainModel:
         out = train_model(make(), samples, epochs=10, batch_size=2,
                           lr=3e-3, seed=0)
         assert out["history"][-1]["loss_ss"] < out["history"][0]["loss_ss"]
+
+
+class TestStepLifetime:
+    def test_step_graph_is_released_before_next_forward(self, samples, monkeypatch):
+        # entries carry the inputs, closures and buffers of their op, so a
+        # live entry is a live graph
+        live = weakref.WeakSet()
+
+        class Tracked(T._TapeEntry):
+            __slots__ = ("__weakref__",)
+
+            def __init__(self, op, inputs, backward_fn):
+                super().__init__(op, inputs, backward_fn)
+                live.add(self)
+
+        alive_at_forward = []
+        forward = ChangeDetectionModel.forward_losses
+
+        def counting_forward(self, *batch):
+            alive_at_forward.append(len(live))
+            return forward(self, *batch)
+
+        monkeypatch.setattr(T, "_TapeEntry", Tracked)
+        monkeypatch.setattr(ChangeDetectionModel, "forward_losses", counting_forward)
+        train_model(make(), samples, epochs=2, batch_size=1, lr=1e-3, seed=0)
+        assert alive_at_forward == [0, 0, 0, 0]
+
+    def test_runs_without_mallopt(self, samples, monkeypatch):
+        # a C library with no mallopt (not glibc, or a stripped one)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        train._keep_freed_memory.cache_clear()
+        try:
+            out = train_model(make(), samples, epochs=1, batch_size=2,
+                              lr=1e-3, seed=0)
+        finally:
+            train._keep_freed_memory.cache_clear()
+        assert out["final"]["status"] == "ok"
+
+
+class TestEnvironmentFingerprint:
+    def test_report_records_environment(self, samples, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        run = tmp_path / "run"
+        out = train_model(make(), samples, epochs=1, batch_size=2,
+                          lr=1e-3, seed=0, run_dir=str(run))
+        report = (run / "report.txt").read_text()
+        assert f"env.numpy='{np.__version__}'" in report
+        assert "env.openblas_num_threads='3'" in report
+        for key in ("env.python=", "env.blas="):
+            assert key in report
+        # the floats that ablate tabulates stay free of it
+        assert not any(k.startswith("env.") for k in out["final"])
+
+    def test_unset_thread_count(self, samples, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        run = tmp_path / "run"
+        train_model(make(), samples, epochs=1, batch_size=2,
+                    lr=1e-3, seed=0, run_dir=str(run))
+        assert "env.openblas_num_threads='unset'" in (run / "report.txt").read_text()
