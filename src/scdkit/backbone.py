@@ -52,10 +52,6 @@ class FeaturePyramid:
                 raise ShapeError(f"level at stride {stride}: spatial {lv.shape[2:]}, "
                                  f"expected {expect}")
 
-    @property
-    def channels(self) -> list[int]:
-        return [lv.shape[1] for lv in self.levels]
-
 
 class _Stage(nn.Module):
     def __init__(self, in_ch: int, out_ch: int, factor: int, rng: np.random.Generator):

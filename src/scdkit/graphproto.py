@@ -64,7 +64,6 @@ def build_adjacency(f, sigma: float) -> Tensor:
 
 def gcn_layer(f, a, w) -> Tensor:
     """relu(D^-1/2 (A+I) D^-1/2 F W) with D the row-sum degree of A+I."""
-    f, a, w = T.as_tensor(f), T.as_tensor(a), T.as_tensor(w)
     n = f.shape[0]
     if a.shape != (n, n):
         raise ShapeError(f"gcn_layer: adjacency {a.shape} does not match {n} nodes")
@@ -98,7 +97,6 @@ def compute_prototypes(f_agg, confidence: np.ndarray):
     result for classes whose total mass is below 1e-8 are zero and flagged
     absent in the returned mask.
     """
-    f_agg = T.as_tensor(f_agg)
     c = np.asarray(confidence, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != f_agg.shape[0]:
         raise ShapeError(f"compute_prototypes: confidence {c.shape} does not match "
@@ -112,7 +110,6 @@ def compute_prototypes(f_agg, confidence: np.ndarray):
 
 def affinity(p_a, p_b) -> Tensor:
     """Cosine similarity of every row of ``p_a`` with every row of ``p_b``."""
-    p_a, p_b = T.as_tensor(p_a), T.as_tensor(p_b)
     if p_a.ndim != 2 or p_b.ndim != 2 or p_a.shape[1] != p_b.shape[1]:
         raise ShapeError(f"affinity: shapes {p_a.shape} and {p_b.shape}")
     na = T.l2_norm(p_a, axis=1, keepdims=True)

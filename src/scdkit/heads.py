@@ -40,7 +40,6 @@ class Head(nn.Module):
 
 def cross_entropy(logits, labels: np.ndarray) -> Tensor:
     """Mean pixel cross-entropy of (B, K, H, W) logits against integer labels."""
-    logits = T.as_tensor(logits)
     if logits.ndim != 4:
         raise ShapeError(f"cross_entropy: logits must be (B, K, H, W), got {logits.shape}")
     b, k, h, w = logits.shape

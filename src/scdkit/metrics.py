@@ -34,7 +34,7 @@ class ConfusionMatrix:
         if sem.min() < 0 or sem.max() >= n_classes:
             raise DataError(f"{what}: semantic ids outside [0, {n_classes})")
         mask = np.asarray(changed)
-        if set(np.unique(mask)) - {0, 1}:
+        if np.any((mask != 0) & (mask != 1)):
             raise DataError(f"{what}: change mask must be binary")
         return np.where(mask == 1, sem + 1, 0)
 
@@ -50,15 +50,6 @@ class ConfusionMatrix:
             flat = p.ravel() * k + t.ravel()
             self.m += np.bincount(flat, minlength=k * k).reshape(k, k)
         return self
-
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if other.n_classes != self.n_classes:
-            raise ShapeError("merge: class count mismatch")
-        self.m += other.m
-        return self
-
-    def total(self) -> int:
-        return int(self.m.sum())
 
 
 def _kappa(m: np.ndarray) -> float:

@@ -86,7 +86,7 @@ class ChangeDetectionModel(nn.Module):
     # -- forward -------------------------------------------------------------
 
     def _heads(self, t1, t2):
-        img1, img2 = T.as_tensor(t1), T.as_tensor(t2)
+        img1, img2 = Tensor(t1), Tensor(t2)
         out_hw = img1.shape[2:]
         pyr1, pyr2 = self.encoder(img1), self.encoder(img2)
         seg4_1, seg_full_1 = self.seg_head(self.interaction(pyr1), out_hw)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ShapeError
-from .tensor import Tensor, as_tensor, _record
+from .tensor import Tensor, _record
 
 __all__ = [
     "conv2d",
@@ -69,7 +69,6 @@ def col2im(col: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarra
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution. x (B, Cin, H, W), weight (Cout, Cin, k, k), bias (Cout,)."""
-    x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: x {x.shape}, weight {weight.shape}")
     b, cin, h, w = x.shape
@@ -85,7 +84,6 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     wmat = weight.data.reshape(cout, -1)               # (Cout, Cin*k*k)
     out = wmat @ col                                   # (B, Cout, OH*OW)
     if bias is not None:
-        bias = as_tensor(bias)
         if bias.shape != (cout,):
             raise ShapeError(f"conv2d: bias {bias.shape}, expected ({cout},)")
         out += bias.data[:, None]
@@ -107,7 +105,6 @@ def conv_transpose2d(x, weight, bias=None, stride: int = 2, padding: int = 1) ->
     x (B, Cin, H, W), weight (Cin, Cout, k, k), bias (Cout,).
     Output spatial dims: (H-1)*stride - 2*padding + k.
     """
-    x, weight = as_tensor(x), as_tensor(weight)
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv_transpose2d: x {x.shape}, weight {weight.shape}")
     b, cin, h, w = x.shape
@@ -129,7 +126,6 @@ def conv_transpose2d(x, weight, bias=None, stride: int = 2, padding: int = 1) ->
     wmat = weight.data.reshape(cin, -1)                       # (Cin, Cout*k*k)
     out = col2im(wmat.T @ x3, (b, cout, oh, ow), k, stride, padding)
     if bias is not None:
-        bias = as_tensor(bias)
         if bias.shape != (cout,):
             raise ShapeError(f"conv_transpose2d: bias {bias.shape}, expected ({cout},)")
         out = out + bias.data[None, :, None, None]
@@ -141,7 +137,7 @@ def conv_transpose2d(x, weight, bias=None, stride: int = 2, padding: int = 1) ->
         return (gx, gw, g.sum(axis=(0, 2, 3))) if bias is not None else (gx, gw)
 
     inputs = (x, weight, bias) if bias is not None else (x, weight)
-    return _record("conv_transpose2d", np.ascontiguousarray(out), inputs, bw)
+    return _record("conv_transpose2d", out, inputs, bw)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +160,6 @@ def _resize_matrix(in_size: int, out_size: int) -> np.ndarray:
 def bilinear_resize(x, out_hw) -> Tensor:
     """Bilinear interpolation of (B, C, H, W) to spatial size ``out_hw``:
     ``R @ x @ C.T`` with separable row and column weights."""
-    x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"bilinear_resize: expects (B, C, H, W), got {x.shape}")
     h, w = x.shape[2:]
@@ -191,7 +186,6 @@ def batchnorm2d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
     are updated in place (momentum 0.1, unbiased variance); in eval mode the
     running buffers normalize.
     """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d: expects (B, C, H, W), got {x.shape}")
     b, c, h, w = x.shape
@@ -238,20 +232,17 @@ def batchnorm2d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
 
 def channel_affine(x, scale=None, shift=None) -> Tensor:
     """Per-channel ``x * scale[c] + shift[c]`` on (B, C, H, W)."""
-    x = as_tensor(x)
     if x.ndim != 4:
         raise ShapeError(f"channel_affine: expects (B, C, H, W), got {x.shape}")
     c = x.shape[1]
     out = x.data
     inputs = [x]
     if scale is not None:
-        scale = as_tensor(scale)
         if scale.shape != (c,):
             raise ShapeError(f"channel_affine: scale {scale.shape}, expected ({c},)")
         out = out * scale.data[None, :, None, None]
         inputs.append(scale)
     if shift is not None:
-        shift = as_tensor(shift)
         if shift.shape != (c,):
             raise ShapeError(f"channel_affine: shift {shift.shape}, expected ({c},)")
         out = out + shift.data[None, :, None, None]
@@ -268,7 +259,7 @@ def channel_affine(x, scale=None, shift=None) -> Tensor:
             grads.append(np.sum(g, axis=(0, 2, 3)))
         return tuple(grads)
 
-    return _record("channel_affine", np.ascontiguousarray(out), tuple(inputs), bw)
+    return _record("channel_affine", out, tuple(inputs), bw)
 
 
 def channel_cosine(a, b, eps: float = 1e-8) -> Tensor:
@@ -277,7 +268,6 @@ def channel_cosine(a, b, eps: float = 1e-8) -> Tensor:
     (B, C, H, W) x (B, C, H, W) -> (B, 1, H, W), entries in [-1, 1]. The
     denominator is clamped at ``eps`` so all-zero pixels map to 0.
     """
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape or a.ndim != 4:
         raise ShapeError(f"channel_cosine: shapes {a.shape} and {b.shape}")
     num = T.tsum(T.mul(a, b), axis=1, keepdims=True)

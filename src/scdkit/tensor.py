@@ -15,6 +15,10 @@ nothing else references them. Inference and values read only through
 thread, and the block restores its previous value on exit, exceptions
 included, so blocks nest.
 
+Operands are Tensors: no op coerces numbers or arrays. A constant is
+wrapped with ``Tensor(...)`` where it is made, and the model's input images
+become Tensors in one place, ``ChangeDetectionModel._heads``.
+
 Broadcasting is deliberately restricted: binary ops accept operands of
 identical shape, or one single-element operand (scalar). Anything else
 must be reshaped explicitly so that shape bugs fail loudly.
@@ -30,9 +34,7 @@ from .errors import AutodiffError, NumericError, ShapeError
 
 __all__ = [
     "Tensor",
-    "as_tensor",
     "backward",
-    "detach",
     "no_grad",
     "add",
     "sub",
@@ -117,68 +119,9 @@ class Tensor:
         if self.grad is not None:
             self.grad[...] = 0.0
 
-    def backward(self) -> None:
-        backward(self)
-
-    def detach(self) -> "Tensor":
-        return detach(self)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def sum(self, axis=None, keepdims=False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def as_tensor(value) -> Tensor:
-    """Coerce numbers / arrays to constant tensors; pass tensors through."""
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(value)
-
-
-def detach(t: Tensor) -> Tensor:
-    """Copy of ``t`` holding the same values but excluded from the tape."""
-    return Tensor(t.data.copy())
 
 
 _grad_enabled = True
@@ -198,7 +141,7 @@ def no_grad():
 def _record(op: str, out_data: np.ndarray, inputs, backward_fn) -> Tensor:
     _ensure_finite(op, out_data)
     out = Tensor(out_data)
-    if _grad_enabled and any(isinstance(t, Tensor) and t.requires_grad for t in inputs):
+    if _grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._entry = _TapeEntry(op, tuple(inputs), backward_fn)
     return out
@@ -220,7 +163,7 @@ def _trace(loss: Tensor) -> list[Tensor]:
         stack.append((node, True))
         if node._entry is not None:
             for parent in node._entry.inputs:
-                if isinstance(parent, Tensor) and parent.requires_grad and id(parent) not in seen:
+                if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
     return order
 
@@ -249,14 +192,13 @@ def backward(loss: Tensor) -> None:
             continue
         entry = node._entry
         if entry is None:
-            # requires-grad leaf: parameters and explicit inputs
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
+            # requires-grad leaf (parameters, explicit inputs): its grad
+            # buffer exists from construction
             node.grad += g
             continue
         grads = entry.backward_fn(g)
         for parent, pg in zip(entry.inputs, grads):
-            if pg is None or not (isinstance(parent, Tensor) and parent.requires_grad):
+            if pg is None or not parent.requires_grad:
                 continue
             # ufuncs on 0-d operands decay to immutable numpy scalars; those
             # would silently break the += accumulation below
@@ -292,7 +234,6 @@ def _binary_shapes(op: str, a: Tensor, b: Tensor) -> None:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     _binary_shapes("add", a, b)
     out = a.data + b.data
 
@@ -303,7 +244,6 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     _binary_shapes("sub", a, b)
     out = a.data - b.data
 
@@ -314,7 +254,6 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     _binary_shapes("mul", a, b)
     out = a.data * b.data
     ad, bd = a.data, b.data
@@ -326,7 +265,6 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     _binary_shapes("div", a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = a.data / b.data
@@ -339,7 +277,6 @@ def div(a, b) -> Tensor:
 
 
 def neg(a) -> Tensor:
-    a = as_tensor(a)
 
     def bw(g):
         return (-g,)
@@ -349,7 +286,6 @@ def neg(a) -> Tensor:
 
 def affine(a, scale: float, shift: float = 0.0) -> Tensor:
     """Elementwise ``scale * a + shift`` with python-number coefficients."""
-    a = as_tensor(a)
     scale = float(scale)
     out = scale * a.data + float(shift)
 
@@ -364,7 +300,6 @@ def affine(a, scale: float, shift: float = 0.0) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul: expects 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -379,7 +314,6 @@ def matmul(a, b) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    a = as_tensor(a)
     mask = a.data > 0  # subgradient 0 at the kink
     out = np.where(mask, a.data, 0.0)
 
@@ -390,7 +324,6 @@ def relu(a) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
     z = np.exp(-np.abs(a.data))
     out = np.where(a.data >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
@@ -401,7 +334,6 @@ def sigmoid(a) -> Tensor:
 
 
 def exp(a) -> Tensor:
-    a = as_tensor(a)
     with np.errstate(over="ignore"):
         out = np.exp(a.data)
 
@@ -412,7 +344,6 @@ def exp(a) -> Tensor:
 
 
 def log(a) -> Tensor:
-    a = as_tensor(a)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(a.data)
     ad = a.data
@@ -424,7 +355,6 @@ def log(a) -> Tensor:
 
 
 def sqrt(a) -> Tensor:
-    a = as_tensor(a)
     with np.errstate(invalid="ignore"):
         out = np.sqrt(a.data)
 
@@ -437,7 +367,6 @@ def sqrt(a) -> Tensor:
 
 
 def absolute(a) -> Tensor:
-    a = as_tensor(a)
     sign = np.sign(a.data)  # 0 at ties, the chosen subgradient
 
     def bw(g):
@@ -447,7 +376,6 @@ def absolute(a) -> Tensor:
 
 
 def clamp_min(a, floor: float) -> Tensor:
-    a = as_tensor(a)
     floor = float(floor)
     mask = a.data > floor
     out = np.where(mask, a.data, floor)
@@ -471,35 +399,25 @@ def _norm_axis(axis, ndim):
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
     axis = _norm_axis(axis, a.ndim)
     out = np.sum(a.data, axis=axis, keepdims=keepdims)
     in_shape = a.shape
+    kept = tuple(1 if axis is None or i in axis else n for i, n in enumerate(in_shape))
 
     def bw(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis=axis)
-        elif axis is None and not keepdims:
-            gg = np.asarray(gg).reshape((1,) * len(in_shape)) if in_shape else gg
-        return (np.broadcast_to(gg, in_shape).copy() if in_shape else np.asarray(gg),)
+        return (np.broadcast_to(np.reshape(g, kept), in_shape).copy(),)
 
     return _record("sum", out, (a,), bw)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    naxis = _norm_axis(axis, a.ndim)
-    if naxis is None:
-        count = a.size
-    else:
-        count = int(np.prod([a.shape[ax] for ax in naxis]))
-    return affine(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    total = tsum(a, axis=axis, keepdims=keepdims)
+    # the ratio of sizes is 1/count exactly, so it rounds as 1.0 / count does
+    return affine(total, total.size / a.size)
 
 
 def l2_norm(a, axis=None, keepdims: bool = False) -> Tensor:
     """Euclidean norm reduction, sqrt(sum(a*a))."""
-    a = as_tensor(a)
     return sqrt(tsum(mul(a, a), axis=axis, keepdims=keepdims))
 
 
@@ -508,7 +426,6 @@ def l2_norm(a, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def softmax(a, axis: int) -> Tensor:
-    a = as_tensor(a)
     ax = axis % a.ndim
     shifted = a.data - np.max(a.data, axis=ax, keepdims=True)
     e = np.exp(shifted)
@@ -522,7 +439,6 @@ def softmax(a, axis: int) -> Tensor:
 
 
 def log_softmax(a, axis: int) -> Tensor:
-    a = as_tensor(a)
     ax = axis % a.ndim
     shifted = a.data - np.max(a.data, axis=ax, keepdims=True)
     lse = np.log(np.sum(np.exp(shifted), axis=ax, keepdims=True))
@@ -539,7 +455,7 @@ def log_softmax(a, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
+    """Stack a list or tuple of same-shape tensors along a new ``axis``."""
     shapes = {t.shape for t in tensors}
     if len(shapes) != 1:
         raise ShapeError(f"stack: all inputs must share a shape, got {sorted(shapes)}")
@@ -547,13 +463,13 @@ def stack(tensors, axis: int = 0) -> Tensor:
     ax = axis % out.ndim
 
     def bw(g):
-        return tuple(np.take(g, i, axis=ax) for i in range(len(tensors)))
+        return tuple(np.take(g, i, axis=ax) for i in range(g.shape[ax]))
 
-    return _record("stack", out, tuple(tensors), bw)
+    return _record("stack", out, tensors, bw)
 
 
 def concat(tensors, axis: int) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
+    """Join a list or tuple of tensors along an existing ``axis``."""
     ndim = tensors[0].ndim
     ax = axis % ndim
     ref = list(tensors[0].shape)
@@ -567,11 +483,10 @@ def concat(tensors, axis: int) -> Tensor:
     def bw(g):
         return tuple(np.split(g, splits, axis=ax))
 
-    return _record("concat", out, tuple(tensors), bw)
+    return _record("concat", out, tensors, bw)
 
 
 def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
     shape = tuple(shape)
     try:
         out = a.data.reshape(shape)
@@ -582,11 +497,10 @@ def reshape(a, shape) -> Tensor:
     def bw(g):
         return (g.reshape(in_shape),)
 
-    return _record("reshape", _contiguous(out), (a,), bw)
+    return _record("reshape", out, (a,), bw)
 
 
 def transpose(a, axes=None) -> Tensor:
-    a = as_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     axes = tuple(ax % a.ndim for ax in axes)
@@ -596,12 +510,11 @@ def transpose(a, axes=None) -> Tensor:
     def bw(g):
         return (np.ascontiguousarray(np.transpose(g, inverse)),)
 
-    return _record("transpose", _contiguous(out), (a,), bw)
+    return _record("transpose", out, (a,), bw)
 
 
 def select_index(a, index: int, axis: int = 0) -> Tensor:
     """Pick one slice along ``axis`` (shape loses that axis)."""
-    a = as_tensor(a)
     ax = axis % a.ndim
     if not 0 <= index < a.shape[ax]:
         raise ShapeError(f"select_index: index {index} out of range for axis {ax} of {a.shape}")
@@ -615,7 +528,7 @@ def select_index(a, index: int, axis: int = 0) -> Tensor:
         full[tuple(sl)] = g
         return (full,)
 
-    return _record("select_index", _contiguous(out), (a,), bw)
+    return _record("select_index", out, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +541,6 @@ def pairwise_l2(f) -> Tensor:
     The diagonal is exactly zero and carries zero gradient; coincident
     off-diagonal rows take the zero subgradient at the sqrt kink.
     """
-    f = as_tensor(f)
     if f.ndim != 2:
         raise ShapeError(f"pairwise_l2: expects (N, d), got {f.shape}")
     diff = f.data[:, None, :] - f.data[None, :, :]

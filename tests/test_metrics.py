@@ -64,7 +64,7 @@ class TestAccumulate:
         sample = random_sample(rng)
         cm = ConfusionMatrix(4).accumulate(*sample)
         np.testing.assert_array_equal(cm.m, brute_matrix(*sample, 4))
-        assert cm.total() == 2 * 64
+        assert cm.m.sum() == 2 * 64
 
     def test_unchanged_pixels_ignore_semantics(self):
         # both masks zero: everything lands in (0, 0) whatever the classes say
@@ -74,7 +74,7 @@ class TestAccumulate:
             rng.integers(0, 3, hw), rng.integers(0, 3, hw),
             rng.integers(0, 3, hw), rng.integers(0, 3, hw),
             np.zeros(hw, dtype=int), np.zeros(hw, dtype=int))
-        assert cm.m[0, 0] == 32 and cm.total() == 32
+        assert cm.m[0, 0] == 32 and cm.m.sum() == 32
 
     def test_batch_equals_per_sample(self):
         rng = np.random.default_rng(7)
@@ -94,14 +94,6 @@ class TestAccumulate:
         np.testing.assert_array_equal(ConfusionMatrix(4).accumulate(*sample).m,
                                       ConfusionMatrix(4).accumulate(*shuffled).m)
 
-    def test_merge_is_addition(self):
-        rng = np.random.default_rng(11)
-        a = ConfusionMatrix(4).accumulate(*random_sample(rng))
-        b = ConfusionMatrix(4).accumulate(*random_sample(rng))
-        want = a.m + b.m
-        a.merge(b)
-        np.testing.assert_array_equal(a.m, want)
-
     def test_semantic_id_out_of_range(self):
         hw = (2, 2)
         ones = np.ones(hw, dtype=int)
@@ -111,17 +103,14 @@ class TestAccumulate:
     def test_non_binary_mask(self):
         hw = (2, 2)
         z = np.zeros(hw, dtype=int)
-        with pytest.raises(DataError):
-            ConfusionMatrix(2).accumulate(z, z, z, z, 2 * np.ones(hw, dtype=int), z)
+        for mask in (2 * np.ones(hw, dtype=int), np.full(hw, 0.5)):
+            with pytest.raises(DataError):
+                ConfusionMatrix(2).accumulate(z, z, z, z, mask, z)
 
     def test_shape_mismatch(self):
         z = np.zeros((2, 2), dtype=int)
         with pytest.raises(ShapeError):
             ConfusionMatrix(2).accumulate(z, z, z, z, z, np.zeros((3, 3), dtype=int))
-
-    def test_merge_class_mismatch(self):
-        with pytest.raises(ShapeError):
-            ConfusionMatrix(2).merge(ConfusionMatrix(3))
 
 
 class TestScores:

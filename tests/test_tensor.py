@@ -6,7 +6,7 @@ import pytest
 from scdkit import tensor as T
 from scdkit.errors import AutodiffError, NumericError, ShapeError
 from scdkit.gradcheck import check, relative_error
-from scdkit.tensor import Tensor, backward, detach
+from scdkit.tensor import Tensor, backward
 
 
 @pytest.fixture
@@ -41,13 +41,6 @@ class TestTapeSemantics:
             assert x.grad[0] == expected
         x.zero_grad()
         assert x.grad[0] == 0.0
-
-    def test_detach_blocks_gradient(self):
-        x = Tensor([3.0], requires_grad=True)
-        y = detach(T.mul(x, x))
-        assert not y.requires_grad
-        with pytest.raises(AutodiffError):
-            backward(T.tsum(y))
 
     def test_diamond_graph_accumulates_both_paths(self):
         # loss = x*x + x*x reaches x through two paths
