@@ -16,21 +16,10 @@ from . import nn
 from .errors import ShapeError
 from .tensor import Tensor, relu
 
-__all__ = ["EncoderConfig", "FeaturePyramid", "SiameseEncoder", "PYRAMID_STRIDES"]
+__all__ = ["FeaturePyramid", "SiameseEncoder", "PYRAMID_STRIDES"]
 
 PYRAMID_STRIDES = (4, 8, 16, 32)
 _STAGE_FACTORS = (4, 2, 2, 2)
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    base_channels: int = 8
-    seed: int = 0
-
-    @property
-    def channels(self) -> tuple[int, int, int, int]:
-        b = self.base_channels
-        return (b, 2 * b, 4 * b, 8 * b)
 
 
 @dataclass
@@ -65,13 +54,14 @@ class _Stage(nn.Module):
 
 
 class SiameseEncoder(nn.Module):
-    """Shared-weight encoder; call once per temporal image."""
+    """Shared-weight encoder over RGB images; call once per temporal image.
 
-    def __init__(self, cfg: EncoderConfig, in_channels: int = 3):
+    ``chans`` are the four stage widths; weights are drawn from ``rng``.
+    """
+
+    def __init__(self, chans: tuple[int, int, int, int], rng: np.random.Generator):
         super().__init__()
-        rng = np.random.default_rng(cfg.seed)
-        chans = cfg.channels
-        ins = (in_channels,) + chans[:3]
+        ins = (3, *chans[:3])
         self.stages = [
             _Stage(cin, cout, factor, rng)
             for cin, cout, factor in zip(ins, chans, _STAGE_FACTORS)

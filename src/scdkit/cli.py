@@ -69,6 +69,11 @@ class RunConfig:
     checkpoint: str = ""
     gradcheck_seeds: int = 5
 
+    def __post_init__(self):
+        for key in ("count", "epochs", "batch_size", "eval_every", "gradcheck_seeds"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+
     def scene_spec(self) -> SceneSpec:
         return SceneSpec(size=(self.height, self.width), n_classes=self.n_classes,
                          n_shapes=self.n_shapes, change_fraction=self.change_fraction,
@@ -252,21 +257,16 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _COMMANDS[args.command](cfg, out)
-    except TypeError as exc:
-        # RunConfig(**values) with a bad key never gets here (coerce rejects
-        # it first); this guards argparse wiring mistakes
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing file, a directory where a file belongs, or the reverse
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ScdkitError as exc:
+        # ScdkitError is the table's last row, so the loop always returns
         for klass, code in _EXIT_CODES:
             if isinstance(exc, klass):
                 print(f"error: {exc}", file=sys.stderr)
                 return code
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -213,6 +213,8 @@ def load_dataset(directory) -> tuple[list[Sample], SceneSpec]:
         raise DataError(f"{manifest}: missing manifest field {exc}") from exc
     except ValueError as exc:
         raise DataError(f"{manifest}: malformed manifest field: {exc}") from exc
+    if count < 1:
+        raise DataError(f"{manifest}: count is {count}, a dataset needs at least 1 sample")
     if len(names) != count:
         raise DataError(f"{manifest}: lists {len(names)} samples, count says {count}")
 

@@ -32,10 +32,12 @@ __all__ = [
 
 ABSENT_EPS = 1e-8
 NORM_EPS = 1e-12
+_SIGMA_FALLBACK = 1.0
 
 
-def median_sigma(features: np.ndarray, fallback: float = 1.0) -> float:
-    """Median off-diagonal pairwise distance; ``fallback`` when degenerate.
+def median_sigma(features: np.ndarray) -> float:
+    """Median off-diagonal pairwise distance of (N, d) node features; 1.0
+    when degenerate (fewer than two nodes, or all of them coincide).
 
     Treated as a constant for autodiff purposes, so this takes and returns
     plain numbers.
@@ -43,11 +45,11 @@ def median_sigma(features: np.ndarray, fallback: float = 1.0) -> float:
     f = np.asarray(features, dtype=np.float64)
     n = f.shape[0]
     if n < 2:
-        return fallback
+        return _SIGMA_FALLBACK
     diff = f[:, None, :] - f[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     med = float(np.median(dist[~np.eye(n, dtype=bool)]))
-    return med if med > NORM_EPS else fallback
+    return med if med > NORM_EPS else _SIGMA_FALLBACK
 
 
 def build_adjacency(f, sigma: float) -> Tensor:

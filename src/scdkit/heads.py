@@ -30,11 +30,9 @@ class Head(nn.Module):
         self.conv1 = nn.Conv2d(in_channels, hidden, kernel, rng, padding=kernel // 2)
         self.conv2 = nn.Conv2d(hidden, n_out, 1, rng)
 
-    def forward(self, x, out_hw=None):
-        """Logits at input scale; also upsampled to ``out_hw`` when given."""
+    def forward(self, x, out_hw):
+        """Logits at input scale and upsampled to ``out_hw``."""
         logits = self.conv2(T.relu(self.conv1(x)))
-        if out_hw is None:
-            return logits
         return logits, ops.bilinear_resize(logits, out_hw)
 
 

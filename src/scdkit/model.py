@@ -2,9 +2,9 @@
 fusion, heads, graph prototype branch, and uncertainty weighting, with
 ablation switches selecting the documented fallback paths.
 
-Ablations: no-interaction resizes+concats the pyramid, no-fusion concats the
-temporals before the same refine stack, no-graph drops the consistency loss
-(and with it gradient rotation), no-uncertainty sums the task losses with no
+Ablations: no-sqmlfi resizes+concats the pyramid, no-btff concats the
+temporals before the same refine stack, no-gapl drops the consistency loss
+(and with it gradient rotation), no-mto sums the task losses with no
 learned variances.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import nn
 from . import tensor as T
-from .backbone import EncoderConfig, SiameseEncoder
+from .backbone import SiameseEncoder
 from .errors import ConfigError, FormatError
 from .fusion import BtffBranch
 from .graphproto import GaplBranch, pool_confidence
@@ -59,12 +59,13 @@ class ChangeDetectionModel(nn.Module):
     def __init__(self, cfg: ModelConfig):
         super().__init__()
         self._cfg = cfg
-        chans = EncoderConfig(cfg.base_channels).channels
+        b = cfg.base_channels
+        chans = (b, 2 * b, 4 * b, 8 * b)
 
         def stream(k: int) -> np.random.Generator:
             return np.random.default_rng([cfg.seed, k])
 
-        self.encoder = SiameseEncoder(EncoderConfig(cfg.base_channels, seed=cfg.seed))
+        self.encoder = SiameseEncoder(chans, np.random.default_rng(cfg.seed))
         if cfg.use_sqmlfi:
             self.interaction = SqmlfiBranch(chans, cfg.merge_channels, stream(1))
         else:

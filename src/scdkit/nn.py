@@ -49,9 +49,7 @@ class Module:
     # -- registration ------------------------------------------------------
 
     def register_buffer(self, name: str, value: np.ndarray) -> np.ndarray:
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.ndim:
-            arr = np.ascontiguousarray(arr)
+        arr = np.asarray(value, dtype=np.float64, order="C")
         self._buffers[name] = arr
         return arr
 
@@ -140,15 +138,14 @@ class Module:
 
 class Conv2d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, stride: int = 1, padding: int = 0,
-                 bias: bool = True):
+                 rng: np.random.Generator, stride: int = 1, padding: int = 0):
         super().__init__()
         self.stride = stride
         self.padding = padding
         fan_in = in_channels * kernel_size * kernel_size
         self.weight = Parameter(kaiming_uniform(
             rng, (out_channels, in_channels, kernel_size, kernel_size), fan_in))
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
+        self.bias = Parameter(np.zeros(out_channels))
 
     def forward(self, x) -> Tensor:
         return ops.conv2d(x, self.weight, self.bias,
@@ -157,15 +154,14 @@ class Conv2d(Module):
 
 class ConvTranspose2d(Module):
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, stride: int = 2, padding: int = 1,
-                 bias: bool = True):
+                 rng: np.random.Generator, stride: int = 2, padding: int = 1):
         super().__init__()
         self.stride = stride
         self.padding = padding
         fan_in = in_channels * kernel_size * kernel_size
         self.weight = Parameter(kaiming_uniform(
             rng, (in_channels, out_channels, kernel_size, kernel_size), fan_in))
-        self.bias = Parameter(np.zeros(out_channels)) if bias else None
+        self.bias = Parameter(np.zeros(out_channels))
 
     def forward(self, x) -> Tensor:
         return ops.conv_transpose2d(x, self.weight, self.bias,
@@ -173,10 +169,8 @@ class ConvTranspose2d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, num_features: int):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
         self.weight = Parameter(np.ones(num_features))
         self.bias = Parameter(np.zeros(num_features))
         self.running_mean = self.register_buffer("running_mean", np.zeros(num_features))
@@ -185,5 +179,4 @@ class BatchNorm2d(Module):
     def forward(self, x) -> Tensor:
         return ops.batchnorm2d(x, self.weight, self.bias,
                                self.running_mean, self.running_var,
-                               training=self.training,
-                               momentum=self.momentum, eps=self.eps)
+                               training=self.training)

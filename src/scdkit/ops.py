@@ -25,6 +25,10 @@ __all__ = [
     "channel_cosine",
 ]
 
+_BN_MOMENTUM = 0.1
+_BN_EPS = 1e-5
+_COSINE_EPS = 1e-8
+
 
 # ---------------------------------------------------------------------------
 # im2col / col2im
@@ -67,7 +71,7 @@ def col2im(col: np.ndarray, x_shape, k: int, stride: int, pad: int) -> np.ndarra
 # convolution
 # ---------------------------------------------------------------------------
 
-def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution. x (B, Cin, H, W), weight (Cout, Cin, k, k), bias (Cout,)."""
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv2d: x {x.shape}, weight {weight.shape}")
@@ -75,6 +79,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     cout, wcin, k, k2 = weight.shape
     if k != k2 or wcin != cin:
         raise ShapeError(f"conv2d: weight {weight.shape} does not match input channels {cin}")
+    if bias.shape != (cout,):
+        raise ShapeError(f"conv2d: bias {bias.shape}, expected ({cout},)")
     oh, ow = _conv_out_hw(h, w, k, stride, padding)
     if oh <= 0 or ow <= 0:
         raise ShapeError(f"conv2d: output would be empty for input {x.shape}, k={k}, "
@@ -83,23 +89,19 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     col = im2col(x.data, k, stride, padding)           # (B, Cin*k*k, OH*OW)
     wmat = weight.data.reshape(cout, -1)               # (Cout, Cin*k*k)
     out = wmat @ col                                   # (B, Cout, OH*OW)
-    if bias is not None:
-        if bias.shape != (cout,):
-            raise ShapeError(f"conv2d: bias {bias.shape}, expected ({cout},)")
-        out += bias.data[:, None]
+    out += bias.data[:, None]
     x_shape = x.shape
 
     def bw(g):
         g3 = g.reshape(b, cout, oh * ow)
         gx = col2im(wmat.T @ g3, x_shape, k, stride, padding)
         gw = (g3 @ col.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, k, k)
-        return (gx, gw, g3.sum(axis=(0, 2))) if bias is not None else (gx, gw)
+        return gx, gw, g3.sum(axis=(0, 2))
 
-    inputs = (x, weight, bias) if bias is not None else (x, weight)
-    return _record("conv2d", out.reshape(b, cout, oh, ow), inputs, bw)
+    return _record("conv2d", out.reshape(b, cout, oh, ow), (x, weight, bias), bw)
 
 
-def conv_transpose2d(x, weight, bias=None, stride: int = 2, padding: int = 1) -> Tensor:
+def conv_transpose2d(x, weight, bias, stride: int = 2, padding: int = 1) -> Tensor:
     """Transposed 2-D convolution, the adjoint of :func:`conv2d`.
 
     x (B, Cin, H, W), weight (Cin, Cout, k, k), bias (Cout,).
@@ -112,6 +114,8 @@ def conv_transpose2d(x, weight, bias=None, stride: int = 2, padding: int = 1) ->
     if k != k2 or wcin != cin:
         raise ShapeError(f"conv_transpose2d: weight {weight.shape} does not match input "
                          f"channels {cin}")
+    if bias.shape != (cout,):
+        raise ShapeError(f"conv_transpose2d: bias {bias.shape}, expected ({cout},)")
     oh = (h - 1) * stride - 2 * padding + k
     ow = (w - 1) * stride - 2 * padding + k
     if oh <= 0 or ow <= 0:
@@ -125,19 +129,15 @@ def conv_transpose2d(x, weight, bias=None, stride: int = 2, padding: int = 1) ->
     x3 = x.data.reshape(b, cin, h * w)
     wmat = weight.data.reshape(cin, -1)                       # (Cin, Cout*k*k)
     out = col2im(wmat.T @ x3, (b, cout, oh, ow), k, stride, padding)
-    if bias is not None:
-        if bias.shape != (cout,):
-            raise ShapeError(f"conv_transpose2d: bias {bias.shape}, expected ({cout},)")
-        out = out + bias.data[None, :, None, None]
+    out = out + bias.data[None, :, None, None]
 
     def bw(g):
         g_col = im2col(g, k, stride, padding)                 # (B, Cout*k*k, H*W)
         gx = (wmat @ g_col).reshape(b, cin, h, w)
         gw = (x3 @ g_col.transpose(0, 2, 1)).sum(axis=0).reshape(cin, cout, k, k)
-        return (gx, gw, g.sum(axis=(0, 2, 3))) if bias is not None else (gx, gw)
+        return gx, gw, g.sum(axis=(0, 2, 3))
 
-    inputs = (x, weight, bias) if bias is not None else (x, weight)
-    return _record("conv_transpose2d", out, inputs, bw)
+    return _record("conv_transpose2d", out, (x, weight, bias), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +179,12 @@ def bilinear_resize(x, out_hw) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def batchnorm2d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
-                training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+                training: bool) -> Tensor:
     """Per-channel batch normalization over (B, H, W).
 
     In training mode the batch statistics normalize and the running buffers
     are updated in place (momentum 0.1, unbiased variance); in eval mode the
-    running buffers normalize.
+    running buffers normalize. The variance floor eps is 1e-5.
     """
     if x.ndim != 4:
         raise ShapeError(f"batchnorm2d: expects (B, C, H, W), got {x.shape}")
@@ -194,21 +194,24 @@ def batchnorm2d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
     n = b * h * w
     axes = (0, 2, 3)
 
+    # each sum once, divided by n, is bit-identical to np.mean / np.var
     if training:
         if n < 2:
             raise ShapeError("batchnorm2d: training mode needs at least 2 values per channel")
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)  # biased, used for normalization
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mean
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var * n / (n - 1)
+        mean = x.data.sum(axis=axes) / n
+        xhat = x.data - mean[None, :, None, None]
+        var = (xhat * xhat).sum(axis=axes) / n  # biased, used for normalization
+        running_mean *= (1.0 - _BN_MOMENTUM)
+        running_mean += _BN_MOMENTUM * mean
+        running_var *= (1.0 - _BN_MOMENTUM)
+        running_var += _BN_MOMENTUM * var * n / (n - 1)
     else:
-        mean = running_mean
+        xhat = x.data - running_mean[None, :, None, None]
         var = running_var
 
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    inv_std = 1.0 / np.sqrt(var + _BN_EPS)
+    # in place: a second full-size buffer would raise the step's peak memory
+    xhat *= inv_std[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
     def bw(g):
@@ -216,8 +219,8 @@ def batchnorm2d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
         gbeta = np.sum(g, axis=axes)
         scale = (gamma.data * inv_std)[None, :, None, None]
         if training:
-            gmean = np.mean(g, axis=axes)[None, :, None, None]
-            gdot = np.mean(g * xhat, axis=axes)[None, :, None, None]
+            gmean = (gbeta / n)[None, :, None, None]
+            gdot = (ggamma / n)[None, :, None, None]
             gx = scale * (g - gmean - xhat * gdot)
         else:
             gx = scale * g
@@ -230,47 +233,34 @@ def batchnorm2d(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarra
 # per-channel helpers
 # ---------------------------------------------------------------------------
 
-def channel_affine(x, scale=None, shift=None) -> Tensor:
+def channel_affine(x, scale, shift) -> Tensor:
     """Per-channel ``x * scale[c] + shift[c]`` on (B, C, H, W)."""
     if x.ndim != 4:
         raise ShapeError(f"channel_affine: expects (B, C, H, W), got {x.shape}")
     c = x.shape[1]
-    out = x.data
-    inputs = [x]
-    if scale is not None:
-        if scale.shape != (c,):
-            raise ShapeError(f"channel_affine: scale {scale.shape}, expected ({c},)")
-        out = out * scale.data[None, :, None, None]
-        inputs.append(scale)
-    if shift is not None:
-        if shift.shape != (c,):
-            raise ShapeError(f"channel_affine: shift {shift.shape}, expected ({c},)")
-        out = out + shift.data[None, :, None, None]
-        inputs.append(shift)
+    if scale.shape != (c,):
+        raise ShapeError(f"channel_affine: scale {scale.shape}, expected ({c},)")
+    if shift.shape != (c,):
+        raise ShapeError(f"channel_affine: shift {shift.shape}, expected ({c},)")
+    s = scale.data[None, :, None, None]
+    out = x.data * s + shift.data[None, :, None, None]
     xd = x.data
 
     def bw(g):
-        grads = []
-        gx = g if scale is None else g * scale.data[None, :, None, None]
-        grads.append(gx)
-        if scale is not None:
-            grads.append(np.sum(g * xd, axis=(0, 2, 3)))
-        if shift is not None:
-            grads.append(np.sum(g, axis=(0, 2, 3)))
-        return tuple(grads)
+        return g * s, np.sum(g * xd, axis=(0, 2, 3)), np.sum(g, axis=(0, 2, 3))
 
-    return _record("channel_affine", out, tuple(inputs), bw)
+    return _record("channel_affine", out, (x, scale, shift), bw)
 
 
-def channel_cosine(a, b, eps: float = 1e-8) -> Tensor:
+def channel_cosine(a, b) -> Tensor:
     """Per-pixel cosine similarity over the channel axis.
 
     (B, C, H, W) x (B, C, H, W) -> (B, 1, H, W), entries in [-1, 1]. The
-    denominator is clamped at ``eps`` so all-zero pixels map to 0.
+    denominator is clamped at 1e-8 so all-zero pixels map to 0.
     """
     if a.shape != b.shape or a.ndim != 4:
         raise ShapeError(f"channel_cosine: shapes {a.shape} and {b.shape}")
     num = T.tsum(T.mul(a, b), axis=1, keepdims=True)
     na = T.sqrt(T.tsum(T.mul(a, a), axis=1, keepdims=True))
     nb = T.sqrt(T.tsum(T.mul(b, b), axis=1, keepdims=True))
-    return T.div(num, T.clamp_min(T.mul(na, nb), eps))
+    return T.div(num, T.clamp_min(T.mul(na, nb), _COSINE_EPS))

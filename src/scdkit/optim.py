@@ -24,6 +24,10 @@ __all__ = [
     "unflatten_vector",
 ]
 
+_BETA1, _BETA2 = 0.9, 0.999
+_ADAM_EPS = 1e-8
+_WEIGHT_DECAY = 1e-6
+
 
 class UncertaintyWeights(nn.Module):
     """Learnable per-task log-variances s1, s2 (task variance = exp(s)).
@@ -101,41 +105,37 @@ def unflatten_vector(vector: np.ndarray, like) -> list[np.ndarray]:
 class Adam:
     """Adam consuming the ``grad`` buffers of the given parameters.
 
-    Weight decay is added to the gradient before the moment update, and any
-    gradient surgery must happen before ``step`` (moments accumulate
-    post-surgery values). ``lr`` is a plain attribute so a schedule can
-    retune it per epoch.
+    Betas (0.9, 0.999), eps 1e-8. Weight decay 1e-6 is added to the gradient
+    before the moment update, and any gradient surgery must happen before
+    ``step`` (moments accumulate post-surgery values). ``lr`` is a plain
+    attribute so a schedule can retune it per epoch.
     """
 
-    def __init__(self, params, lr: float = 1e-4, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 1e-6):
+    def __init__(self, params, lr: float = 1e-4):
         self.params: list[nn.Parameter] = list(params)
         if not self.params:
             raise ShapeError("Adam: empty parameter list")
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 raise NumericError("Adam: parameter has no gradient buffer")
-            g = p.grad + self.weight_decay * p.data
+            g = p.grad + _WEIGHT_DECAY * p.data
             if not np.all(np.isfinite(g)):
                 raise NumericError("Adam: non-finite gradient")
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + _ADAM_EPS)
 
     def state(self, names) -> dict[str, np.ndarray]:
         """Serializable moment state keyed by the given parameter names."""

@@ -46,9 +46,7 @@ def _read_u64(buf: bytes, offset: int, count: int) -> tuple[tuple[int, ...], int
 
 
 def tensor_to_bytes(array: np.ndarray) -> bytes:
-    arr = np.asarray(array, dtype=np.float64)
-    if arr.ndim:  # ascontiguousarray would turn rank 0 into rank 1
-        arr = np.ascontiguousarray(arr)
+    arr = np.asarray(array, dtype=np.float64, order="C")
     header = TENSOR_MAGIC + _pack_u64(arr.ndim, *arr.shape)
     return header + arr.astype(_F64, copy=False).tobytes()
 

@@ -69,12 +69,6 @@ def _ensure_finite(op: str, out: np.ndarray) -> None:
         raise NumericError(f"{op}: produced non-finite values")
 
 
-def _contiguous(data) -> np.ndarray:
-    # np.ascontiguousarray alone would promote 0-d arrays to shape (1,)
-    arr = np.asarray(data, dtype=np.float64)
-    return arr if arr.ndim == 0 else np.ascontiguousarray(arr)
-
-
 class _TapeEntry:
     """One recorded op: its input tensors and the closure that maps the
     output gradient to per-input gradients (None for non-grad inputs)."""
@@ -91,7 +85,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_entry", "_backward_done")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = _contiguous(data)
+        arr = np.asarray(data, dtype=np.float64, order="C")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
@@ -314,13 +308,7 @@ def matmul(a, b) -> Tensor:
 
 
 def relu(a) -> Tensor:
-    mask = a.data > 0  # subgradient 0 at the kink
-    out = np.where(mask, a.data, 0.0)
-
-    def bw(g):
-        return (g * mask,)
-
-    return _record("relu", out, (a,), bw)
+    return clamp_min(a, 0.0)  # subgradient 0 at the kink
 
 
 def sigmoid(a) -> Tensor:

@@ -106,20 +106,18 @@ def _combined_step(model: ChangeDetectionModel, losses: dict) -> None:
         T.backward(T.add(losses["loss_merge"], losses["loss_cpa"]))
         return
 
-    params = model.parameters()
+    # every other parameter takes its gradient from exactly one of the two
+    # losses, so only the shared ones need a copy between the passes
     shared = model.shared_parameters()
-    T.backward(losses["loss_merge"])
-    g_merge = {id(p): p.grad.copy() for p in params}
-    model.zero_grad()
     T.backward(losses["loss_cpa"])
+    g_cpa = optim.flatten_arrays([p.grad for p in shared])
+    for p in shared:
+        p.zero_grad()
+    T.backward(losses["loss_merge"])
 
-    shared_merge = [g_merge[id(p)] for p in shared]
-    rot_a, rot_b = optim.rotate_gradients(
-        optim.flatten_arrays(shared_merge),
-        optim.flatten_arrays([p.grad for p in shared]))
-    for p in params:
-        p.grad += g_merge[id(p)]
-    for p, g in zip(shared, optim.unflatten_vector(rot_a + rot_b, shared_merge)):
+    g_merge = [p.grad for p in shared]
+    rot_a, rot_b = optim.rotate_gradients(optim.flatten_arrays(g_merge), g_cpa)
+    for p, g in zip(shared, optim.unflatten_vector(rot_a + rot_b, g_merge)):
         p.grad[...] = g
 
 

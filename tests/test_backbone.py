@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from scdkit.backbone import PYRAMID_STRIDES, EncoderConfig, SiameseEncoder
+from scdkit.backbone import PYRAMID_STRIDES, SiameseEncoder
 from scdkit.errors import ShapeError
 from scdkit.tensor import Tensor
 
 
 @pytest.fixture
 def encoder():
-    return SiameseEncoder(EncoderConfig(base_channels=4, seed=3))
+    return SiameseEncoder((4, 8, 16, 32), np.random.default_rng(3))
 
 
 class TestGeometry:
@@ -53,8 +53,8 @@ class TestSharing:
         assert not np.allclose(a.levels[0].data, b.levels[0].data)
 
     def test_construction_is_seeded(self):
-        e1 = SiameseEncoder(EncoderConfig(base_channels=4, seed=9))
-        e2 = SiameseEncoder(EncoderConfig(base_channels=4, seed=9))
+        e1 = SiameseEncoder((4, 8, 16, 32), np.random.default_rng(9))
+        e2 = SiameseEncoder((4, 8, 16, 32), np.random.default_rng(9))
         for (n1, p1), (n2, p2) in zip(e1.named_parameters(), e2.named_parameters()):
             assert n1 == n2
             np.testing.assert_array_equal(p1.data, p2.data)

@@ -55,6 +55,16 @@ class TestConfigResolution:
         code, _, err = run(capsys, "gradcheck", "--set", "epochs")
         assert code == 2 and "key=value" in err
 
+    @pytest.mark.parametrize("command,setting", [
+        ("gen-data", "count=0"), ("train", "epochs=0"), ("train", "batch_size=0"),
+        ("train", "eval_every=0"), ("gradcheck", "gradcheck_seeds=0"),
+        ("train", "epochs=-1")])
+    def test_counts_below_one_exit_2(self, tmp_path, capsys, command, setting):
+        code, _, err = run(capsys, command, "--set", f"data_dir={tmp_path / 'data'}",
+                           "--set", f"run_dir={tmp_path / 'run'}", "--set", setting)
+        assert code == 2 and setting.split("=")[0] in err
+        assert not (tmp_path / "data").exists() and not (tmp_path / "run").exists()
+
 
 class TestGenData:
     def test_writes_loadable_dataset(self, dataset, capsys):
@@ -114,6 +124,18 @@ class TestTrainEval:
                            "--set", f"run_dir={tmp_path / 'eval'}",
                            "--set", f"checkpoint={ckpt}")
         assert code == 4 and "error" in err
+
+    def test_data_dir_that_is_a_file_exits_3(self, tmp_path, capsys):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        code, _, err = run(capsys, "train", "--set", f"data_dir={not_a_dir}", *TRAIN_SETS)
+        assert code == 3 and "error" in err
+
+    def test_checkpoint_that_is_a_directory_exits_3(self, dataset, tmp_path, capsys):
+        code, _, err = run(capsys, "eval", "--set", f"data_dir={dataset}",
+                           "--set", f"run_dir={tmp_path / 'eval'}",
+                           "--set", f"checkpoint={tmp_path}")
+        assert code == 3 and "error" in err
 
     def test_missing_checkpoint_exits_3(self, dataset, tmp_path, capsys):
         code, _, _ = run(capsys, "eval",

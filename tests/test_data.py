@@ -129,6 +129,11 @@ class TestDiskFormat:
         with pytest.raises(DataError):
             load_dataset(tmp_path / "ds")
 
+    def test_empty_dataset_rejected(self, tmp_path):
+        save_dataset(tmp_path / "ds", [], SPEC)
+        with pytest.raises(DataError, match="count"):
+            load_dataset(tmp_path / "ds")
+
     def test_manifest_missing_field(self, tmp_path):
         save_dataset(tmp_path / "ds", generate(SPEC, 1), SPEC)
         manifest = tmp_path / "ds" / "manifest.txt"

@@ -24,7 +24,6 @@ class TestMedianSigma:
 
     def test_identical_points_fall_back(self):
         assert gp.median_sigma(np.ones((5, 3))) == 1.0
-        assert gp.median_sigma(np.ones((5, 3)), fallback=0.25) == 0.25
 
     def test_single_node_falls_back(self):
         assert gp.median_sigma(np.zeros((1, 3))) == 1.0

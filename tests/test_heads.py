@@ -19,14 +19,14 @@ class TestHeads:
     def test_seg_head_shapes(self, rng):
         head = Head(6, 8, 4, 1, rng)
         x = Tensor(rng.standard_normal((2, 6, 8, 8)))
-        logits = head(x)
+        logits, _ = head(x, out_hw=(8, 8))
         assert logits.shape == (2, 4, 8, 8)
         small, big = head(x, out_hw=(32, 32))
         assert small.shape == (2, 4, 8, 8) and big.shape == (2, 4, 32, 32)
 
     def test_change_head_two_channels(self, rng):
         head = Head(6, 4, 2, 3, rng)
-        logits = head(Tensor(rng.standard_normal((1, 6, 8, 8))))
+        logits, _ = head(Tensor(rng.standard_normal((1, 6, 8, 8))), out_hw=(8, 8))
         assert logits.shape == (1, 2, 8, 8)
 
     def test_upsampled_copy_matches_resize_of_logits(self, rng):
@@ -118,6 +118,7 @@ class TestCombinedLosses:
     def test_losses_backpropagate(self, rng):
         head = Head(4, 4, 3, 1, rng)
         x = Tensor(rng.standard_normal((1, 4, 4, 4)), requires_grad=True)
-        loss = cross_entropy(head(x), rng.integers(0, 3, (1, 4, 4)))
+        logits, _ = head(x, out_hw=(4, 4))
+        loss = cross_entropy(logits, rng.integers(0, 3, (1, 4, 4)))
         T.backward(loss)
         assert x.grad is not None and np.abs(x.grad).sum() > 0

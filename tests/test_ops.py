@@ -72,14 +72,15 @@ class TestConv2d:
     def test_channel_mismatch_raises(self, rng):
         with pytest.raises(ShapeError):
             ops.conv2d(Tensor(rng.standard_normal((1, 3, 8, 8))),
-                       Tensor(rng.standard_normal((4, 2, 3, 3))))
+                       Tensor(rng.standard_normal((4, 2, 3, 3))), Tensor(np.zeros(4)))
 
 
 class TestConvTranspose2d:
     def test_doubles_spatial_dims(self, rng):
         x = Tensor(rng.standard_normal((1, 4, 5, 5)))
         w = Tensor(rng.standard_normal((4, 2, 4, 4)))
-        assert ops.conv_transpose2d(x, w, stride=2, padding=1).shape == (1, 2, 10, 10)
+        b = Tensor(np.zeros(2))
+        assert ops.conv_transpose2d(x, w, b, stride=2, padding=1).shape == (1, 2, 10, 10)
 
     @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (4, 2, 1)])
     def test_adjoint_of_conv(self, rng, k, stride, pad):
@@ -88,8 +89,10 @@ class TestConvTranspose2d:
         w = rng.standard_normal((4, 3, k, k))
         oh = (6 + 2 * pad - k) // stride + 1
         y = rng.standard_normal((2, 4, oh, oh))
-        cx = ops.conv2d(Tensor(x), Tensor(w), stride=stride, padding=pad).data
-        dy = ops.conv_transpose2d(Tensor(y), Tensor(w), stride=stride, padding=pad).data
+        cx = ops.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(4)),
+                        stride=stride, padding=pad).data
+        dy = ops.conv_transpose2d(Tensor(y), Tensor(w), Tensor(np.zeros(3)),
+                                  stride=stride, padding=pad).data
         assert np.sum(cx * y) == pytest.approx(np.sum(x * dy), rel=1e-12)
 
     def test_gradcheck(self, rng):
@@ -106,7 +109,7 @@ class TestConvTranspose2d:
         with pytest.raises(ShapeError):
             ops.conv_transpose2d(Tensor(rng.standard_normal((1, 2, 1, 1))),
                                  Tensor(rng.standard_normal((2, 2, 3, 3))),
-                                 stride=1, padding=2)
+                                 Tensor(np.zeros(2)), stride=1, padding=2)
 
 
 def bilinear_reference(x, oh, ow):
@@ -151,7 +154,52 @@ class TestBilinearResize:
         check(build, [rng.standard_normal(in_shape)])
 
 
+def batchnorm_reference(x, gamma, beta, rm, rv, g, training):
+    """Textbook batch norm: forward with np.mean/np.var, backward with the
+    two np.mean terms. Returns out, (gx, ggamma, gbeta) and the running
+    buffers after the call."""
+    axes = (0, 2, 3)
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    if training:
+        mean, var = np.mean(x, axis=axes), np.var(x, axis=axes)
+        rm = (1.0 - 0.1) * rm + 0.1 * mean
+        rv = (1.0 - 0.1) * rv + 0.1 * var * n / (n - 1)
+    else:
+        mean, var = rm, rv
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
+    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    scale = (gamma * inv_std)[None, :, None, None]
+    if training:
+        gmean = np.mean(g, axis=axes)[None, :, None, None]
+        gdot = np.mean(g * xhat, axis=axes)[None, :, None, None]
+        gx = scale * (g - gmean - xhat * gdot)
+    else:
+        gx = scale * g
+    grads = (gx, np.sum(g * xhat, axis=axes), np.sum(g, axis=axes))
+    return out, grads, rm, rv
+
+
 class TestBatchNorm2d:
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 4), (4, 8, 16, 16), (1, 5, 2, 3)])
+    def test_matches_textbook_reference_exactly(self, rng, training, shape):
+        c = shape[1]
+        x = rng.standard_normal(shape) * 2.0 + 0.5
+        gamma, beta = rng.uniform(0.5, 1.5, c), rng.standard_normal(c)
+        rm, rv = rng.standard_normal(c), rng.uniform(0.5, 2.0, c)
+        g = rng.standard_normal(shape)
+        want_out, want_grads, want_rm, want_rv = batchnorm_reference(
+            x, gamma, beta, rm.copy(), rv.copy(), g, training)
+        xt, gt, bt = (Tensor(v, requires_grad=True) for v in (x, gamma, beta))
+        out = ops.batchnorm2d(xt, gt, bt, rm, rv, training=training)
+        T.backward(T.tsum(T.mul(out, Tensor(g))))
+        np.testing.assert_array_equal(out.data, want_out)
+        for got, want in zip((xt.grad, gt.grad, bt.grad), want_grads):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(rm, want_rm)
+        np.testing.assert_array_equal(rv, want_rv)
+
     def test_train_normalizes_batch(self, rng):
         x = rng.standard_normal((4, 3, 5, 5)) * 3 + 1
         rm, rv = np.zeros(3), np.ones(3)
