@@ -3,12 +3,12 @@
 Both temporal images go through the same weights. Each stage is
 conv3x3 -> batchnorm -> relu -> strided conv3x3 downsample; the first stage
 downsamples x4 and the rest x2, giving strides [4, 8, 16, 32] with channels
-[b, 2b, 4b, 8b].
+[b, 2b, 4b, 8b]. The pyramid is a plain tuple of the four level Tensors,
+finest first; the divisible-by-32 input check is what keeps every level's
+spatial size exact.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,30 +16,9 @@ from . import nn
 from .errors import ShapeError
 from .tensor import Tensor, relu
 
-__all__ = ["FeaturePyramid", "SiameseEncoder", "PYRAMID_STRIDES"]
+__all__ = ["SiameseEncoder"]
 
-PYRAMID_STRIDES = (4, 8, 16, 32)
 _STAGE_FACTORS = (4, 2, 2, 2)
-
-
-@dataclass
-class FeaturePyramid:
-    """Four feature levels at strides 4/8/16/32 with strictly increasing channels."""
-
-    levels: list[Tensor]
-
-    def __post_init__(self):
-        if len(self.levels) != 4:
-            raise ShapeError(f"pyramid needs 4 levels, got {len(self.levels)}")
-        chans = [lv.shape[1] for lv in self.levels]
-        if not all(a < b for a, b in zip(chans, chans[1:])):
-            raise ShapeError(f"pyramid channels must strictly increase, got {chans}")
-        h1, w1 = self.levels[0].shape[2:]
-        for lv, stride in zip(self.levels, PYRAMID_STRIDES):
-            expect = (h1 * 4 // stride, w1 * 4 // stride)
-            if lv.shape[2:] != expect:
-                raise ShapeError(f"level at stride {stride}: spatial {lv.shape[2:]}, "
-                                 f"expected {expect}")
 
 
 class _Stage(nn.Module):
@@ -67,7 +46,7 @@ class SiameseEncoder(nn.Module):
             for cin, cout, factor in zip(ins, chans, _STAGE_FACTORS)
         ]
 
-    def forward(self, image) -> FeaturePyramid:
+    def forward(self, image) -> tuple[Tensor, Tensor, Tensor, Tensor]:
         if image.ndim != 4:
             raise ShapeError(f"encoder expects (B, C, H, W), got {image.shape}")
         h, w = image.shape[2:]
@@ -78,4 +57,4 @@ class SiameseEncoder(nn.Module):
         for stage in self.stages:
             x = stage(x)
             levels.append(x)
-        return FeaturePyramid(levels)
+        return tuple(levels)

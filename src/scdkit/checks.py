@@ -97,9 +97,9 @@ def _shape_ops(rng):
     def build(x, y):
         moved = T.transpose(T.reshape(x, (3, 4)), (1, 0))
         out = T.tsum(T.mul(moved, p))
-        out = T.add(out, T.tsum(T.mul(T.stack([y, T.neg(y)], axis=0), q)))
+        out = T.add(out, T.tsum(T.mul(T.stack([y, T.neg(y)]), q)))
         cat = T.concat([x, y], axis=0)
-        return T.add(out, T.tsum(T.select_index(cat, 1, axis=0)))
+        return T.add(out, T.tsum(T.select_index(cat, 1)))
     return build, [rng.standard_normal((4, 3)), rng.standard_normal((2, 3))]
 
 def _conv(rng):
@@ -154,7 +154,7 @@ def _graph_ops(rng):
     p = _probe(rng, (5, 3))
 
     def build(f, w):
-        a = gp.build_adjacency(f, 1.1)
+        a = gp.build_adjacency(T.pairwise_l2(f), 1.1)
         return T.tsum(T.mul(gp.gcn_layer(f, a, w), p))
     return build, [rng.standard_normal((5, 3)), rng.standard_normal((3, 3))]
 
@@ -179,8 +179,8 @@ def _loss_cpa(rng):
     c2 = rng.random((6, 2)); c2 /= c2.sum(axis=1, keepdims=True)
 
     def build(f1, f2, w1, w2):
-        a1 = gp.build_adjacency(f1, 1.3)
-        a2 = gp.build_adjacency(f2, 1.3)
+        a1 = gp.build_adjacency(T.pairwise_l2(f1), 1.3)
+        a2 = gp.build_adjacency(T.pairwise_l2(f2), 1.3)
         g1 = gp.gcn_layer(gp.gcn_layer(f1, a1, w1), a1, w2)
         g2 = gp.gcn_layer(gp.gcn_layer(f2, a2, w1), a2, w2)
         p1, _ = gp.compute_prototypes(g1, c1)

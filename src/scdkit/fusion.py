@@ -13,7 +13,6 @@ import numpy as np
 
 from . import nn, ops
 from . import tensor as T
-from .backbone import FeaturePyramid
 from .errors import ShapeError
 from .tensor import Tensor
 
@@ -98,7 +97,6 @@ class BtffBranch(nn.Module):
         self.integrate = Integrate(fusion_channels, rng)
         self.out_channels = fusion_channels
 
-    def forward(self, pyr1: FeaturePyramid, pyr2: FeaturePyramid) -> Tensor:
-        per_level = [fuse(a, b) for fuse, a, b
-                     in zip(self.fuse, pyr1.levels, pyr2.levels)]
+    def forward(self, pyr1, pyr2) -> Tensor:
+        per_level = [fuse(a, b) for fuse, a, b in zip(self.fuse, pyr1, pyr2)]
         return self.integrate(*per_level)

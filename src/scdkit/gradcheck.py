@@ -64,12 +64,3 @@ def relative_error(build, inputs: list[np.ndarray], h: float = DEFAULT_STEP) -> 
         err = np.max(np.abs(a - n), initial=0.0) / denom
         worst = max(worst, float(err))
     return worst
-
-
-def check(build, inputs: list[np.ndarray], tol: float = DEFAULT_TOLERANCE,
-          h: float = DEFAULT_STEP) -> float:
-    """Assert-and-return variant of :func:`relative_error`."""
-    err = relative_error(build, inputs, h=h)
-    if not err < tol:
-        raise AssertionError(f"gradient check failed: rel. error {err:.3e} >= {tol:.1e}")
-    return err

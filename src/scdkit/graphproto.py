@@ -1,7 +1,9 @@
 """Graph-based prototype learning over the coarsest feature level.
 
 Final-level features become nodes of a dense relational graph (Gaussian
-kernel on pairwise distances), a 2-layer GCN aggregates them, and
+kernel on pairwise distances, computed once per graph by
+``tensor.pairwise_l2`` and shared by the kernel width and the kernel
+itself), a 2-layer GCN aggregates them, and
 confidence-weighted class prototypes from both temporal images feed three
 cosine affinity matrices whose pairwise disagreement is the relation
 consistency loss. A momentum bank keeps per-class global prototypes so
@@ -35,32 +37,29 @@ NORM_EPS = 1e-12
 _SIGMA_FALLBACK = 1.0
 
 
-def median_sigma(features: np.ndarray) -> float:
-    """Median off-diagonal pairwise distance of (N, d) node features; 1.0
+def median_sigma(dist: np.ndarray) -> float:
+    """Median off-diagonal entry of an (N, N) pairwise distance matrix; 1.0
     when degenerate (fewer than two nodes, or all of them coincide).
 
     Treated as a constant for autodiff purposes, so this takes and returns
     plain numbers.
     """
-    f = np.asarray(features, dtype=np.float64)
-    n = f.shape[0]
+    n = dist.shape[0]
     if n < 2:
         return _SIGMA_FALLBACK
-    diff = f[:, None, :] - f[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
     med = float(np.median(dist[~np.eye(n, dtype=bool)]))
     return med if med > NORM_EPS else _SIGMA_FALLBACK
 
 
-def build_adjacency(f, sigma: float) -> Tensor:
-    """Dense graph weights A[m, n] = exp(-||f_m - f_n|| / (2 sigma^2)).
+def build_adjacency(dist, sigma: float) -> Tensor:
+    """Dense graph weights A[m, n] = exp(-dist[m, n] / (2 sigma^2)) from the
+    (N, N) distances ``dist = tensor.pairwise_l2(f)``.
 
     The distance enters the exponent unsquared. Symmetric with unit
     diagonal.
     """
     if sigma <= 0:
         raise NumericError(f"build_adjacency: sigma must be positive, got {sigma}")
-    dist = T.pairwise_l2(f)
     return T.exp(T.affine(dist, -1.0 / (2.0 * sigma * sigma)))
 
 
@@ -165,19 +164,20 @@ class PrototypeBank:
         bank[rows] = self.beta * bank[rows] + (1.0 - self.beta) * local[rows]
         seen[rows] = True
 
-    def state(self, prefix: str) -> dict[str, np.ndarray]:
+    def state(self) -> dict[str, np.ndarray]:
+        """Checkpoint entries, keyed ``bank.*``."""
         return {
-            f"{prefix}.global_t1": self.global_t1.copy(),
-            f"{prefix}.global_t2": self.global_t2.copy(),
-            f"{prefix}.seen_t1": self.seen_t1.astype(np.float64),
-            f"{prefix}.seen_t2": self.seen_t2.astype(np.float64),
+            "bank.global_t1": self.global_t1.copy(),
+            "bank.global_t2": self.global_t2.copy(),
+            "bank.seen_t1": self.seen_t1.astype(np.float64),
+            "bank.seen_t2": self.seen_t2.astype(np.float64),
         }
 
-    def load_state(self, prefix: str, state: dict[str, np.ndarray]) -> None:
-        self.global_t1[...] = state[f"{prefix}.global_t1"]
-        self.global_t2[...] = state[f"{prefix}.global_t2"]
-        self.seen_t1[...] = state[f"{prefix}.seen_t1"] != 0.0
-        self.seen_t2[...] = state[f"{prefix}.seen_t2"] != 0.0
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        self.global_t1[...] = state["bank.global_t1"]
+        self.global_t2[...] = state["bank.global_t2"]
+        self.seen_t1[...] = state["bank.seen_t1"] != 0.0
+        self.seen_t2[...] = state["bank.seen_t2"] != 0.0
 
 
 def pool_confidence(softmax_map: np.ndarray, factor: int) -> np.ndarray:
@@ -214,8 +214,8 @@ class GaplBranch(nn.Module):
 
     def _temporal_prototypes(self, x4, confidence: np.ndarray):
         nodes = self._flatten_nodes(x4)
-        sigma = median_sigma(nodes.data)
-        adj = build_adjacency(nodes, sigma)
+        dist = T.pairwise_l2(nodes)
+        adj = build_adjacency(dist, median_sigma(dist.data))
         agg = self.aggregator(nodes, adj)
         flat_conf = confidence.transpose(0, 2, 3, 1).reshape(-1, self.n_classes)
         return compute_prototypes(agg, flat_conf)
@@ -224,10 +224,10 @@ class GaplBranch(nn.Module):
         rows = []
         for k in np.flatnonzero(active):
             if present[k]:
-                rows.append(T.select_index(protos, int(k), axis=0))
+                rows.append(T.select_index(protos, int(k)))
             else:
                 rows.append(Tensor(bank_rows[k].copy()))
-        return T.stack(rows, axis=0)
+        return T.stack(rows)
 
     def forward(self, x4_t1, x4_t2, conf_t1: np.ndarray, conf_t2: np.ndarray):
         """Return (loss, info). Confidence maps are (B, N_c, H0, W0), detached."""

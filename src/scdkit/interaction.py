@@ -13,7 +13,6 @@ import numpy as np
 
 from . import nn, ops
 from . import tensor as T
-from .backbone import FeaturePyramid
 from .errors import ShapeError
 from .tensor import Tensor
 
@@ -59,7 +58,7 @@ class LevelMerge(nn.Module):
             raise ShapeError(f"level merge: got {len(levels)} levels, expected {n}")
         acc = None
         for l, level in enumerate(levels):
-            term = T.mul(level, T.select_index(self.weight, l, axis=0))
+            term = T.mul(level, T.select_index(self.weight, l))
             acc = term if acc is None else T.add(acc, term)
         return T.add(acc, self.bias)
 
@@ -73,9 +72,9 @@ class SqmlfiBranch(nn.Module):
         self.merge = LevelMerge(len(level_channels), rng)
         self.out_channels = fusion_channels
 
-    def forward(self, pyramid: FeaturePyramid) -> Tensor:
-        ref_hw = pyramid.levels[0].shape[2:]
-        enhanced = [mod(lv, ref_hw) for mod, lv in zip(self.levels, pyramid.levels)]
+    def forward(self, pyramid) -> Tensor:
+        ref_hw = pyramid[0].shape[2:]
+        enhanced = [mod(lv, ref_hw) for mod, lv in zip(self.levels, pyramid)]
         return self.merge(enhanced)
 
 
@@ -86,7 +85,7 @@ class ConcatLevels(nn.Module):
         super().__init__()
         self.out_channels = int(sum(level_channels))
 
-    def forward(self, pyramid: FeaturePyramid) -> Tensor:
-        first, *rest = pyramid.levels
+    def forward(self, pyramid) -> Tensor:
+        first, *rest = pyramid
         resized = [ops.bilinear_resize(lv, first.shape[2:]) for lv in rest]
         return T.concat([first] + resized, axis=1)

@@ -107,11 +107,11 @@ class ChangeDetectionModel(nn.Module):
         loss_cd = change_loss(cd_full, cd)
 
         if self.gapl is not None:
-            factor = seg4[0].shape[2] // pyr1.levels[3].shape[2]
+            factor = seg4[0].shape[2] // pyr1[3].shape[2]
             with T.no_grad():  # the confidences are constants of the loss
                 conf1 = pool_confidence(T.softmax(seg4[0], axis=1).data, factor)
                 conf2 = pool_confidence(T.softmax(seg4[1], axis=1).data, factor)
-            loss_cpa, gapl_info = self.gapl(pyr1.levels[3], pyr2.levels[3], conf1, conf2)
+            loss_cpa, gapl_info = self.gapl(pyr1[3], pyr2[3], conf1, conf2)
         else:
             loss_cpa, gapl_info = Tensor(0.0), {}
 
@@ -150,7 +150,7 @@ class ChangeDetectionModel(nn.Module):
         for f in fields(ModelConfig):
             state[f"config.{f.name}"] = np.asarray(float(getattr(self._cfg, f.name)))
         if self.gapl is not None:
-            state.update(self.gapl.bank.state("bank"))
+            state.update(self.gapl.bank.state())
         return state
 
     def load_checkpoint_state(self, state: dict[str, np.ndarray]) -> None:
@@ -158,7 +158,7 @@ class ChangeDetectionModel(nn.Module):
                        if k.startswith("model.")}
         self.load_state_dict(model_state)
         if self.gapl is not None:
-            self.gapl.bank.load_state("bank", state)
+            self.gapl.bank.load_state(state)
 
     @classmethod
     def config_from_state(cls, state: dict[str, np.ndarray]) -> ModelConfig:

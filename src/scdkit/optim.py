@@ -86,8 +86,6 @@ def cosine_lr(base_lr: float, epoch: int, total_epochs: int) -> float:
 
 
 def flatten_arrays(arrays) -> np.ndarray:
-    if not arrays:
-        return np.zeros(0)
     return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
 
 

@@ -442,16 +442,15 @@ def log_softmax(a, axis: int) -> Tensor:
 # structure ops
 # ---------------------------------------------------------------------------
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    """Stack a list or tuple of same-shape tensors along a new ``axis``."""
+def stack(tensors) -> Tensor:
+    """Stack a list or tuple of same-shape tensors along a new leading axis."""
     shapes = {t.shape for t in tensors}
     if len(shapes) != 1:
         raise ShapeError(f"stack: all inputs must share a shape, got {sorted(shapes)}")
-    out = np.stack([t.data for t in tensors], axis=axis)
-    ax = axis % out.ndim
+    out = np.stack([t.data for t in tensors])
 
     def bw(g):
-        return tuple(np.take(g, i, axis=ax) for i in range(g.shape[ax]))
+        return tuple(g)
 
     return _record("stack", out, tensors, bw)
 
@@ -501,19 +500,16 @@ def transpose(a, axes=None) -> Tensor:
     return _record("transpose", out, (a,), bw)
 
 
-def select_index(a, index: int, axis: int = 0) -> Tensor:
-    """Pick one slice along ``axis`` (shape loses that axis)."""
-    ax = axis % a.ndim
-    if not 0 <= index < a.shape[ax]:
-        raise ShapeError(f"select_index: index {index} out of range for axis {ax} of {a.shape}")
-    out = np.take(a.data, index, axis=ax)
+def select_index(a, index: int) -> Tensor:
+    """Pick row ``index`` along the leading axis (shape loses that axis)."""
+    if not 0 <= index < a.shape[0]:
+        raise ShapeError(f"select_index: index {index} out of range for {a.shape}")
+    out = np.take(a.data, index, axis=0)
     in_shape = a.shape
 
     def bw(g):
         full = np.zeros(in_shape)
-        sl = [slice(None)] * len(in_shape)
-        sl[ax] = index
-        full[tuple(sl)] = g
+        full[index] = g
         return (full,)
 
     return _record("select_index", out, (a,), bw)

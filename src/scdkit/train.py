@@ -34,7 +34,7 @@ import numpy as np
 from . import optim, serialize
 from . import tensor as T
 from .data import Sample, collate
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .metrics import ConfusionMatrix, scores, write_report
 from .model import ChangeDetectionModel
 
@@ -143,8 +143,14 @@ def train_model(model: ChangeDetectionModel, samples: list[Sample], *,
     """Train in place; returns history rows and final metrics.
 
     ``eval_every`` spaces out the metric computations (losses are logged
-    every epoch regardless); the final epoch always evaluates.
+    every epoch regardless); the final epoch always evaluates. ``epochs``,
+    ``batch_size`` and ``eval_every`` below 1 raise ``ConfigError`` before
+    anything is written.
     """
+    for key, value in (("epochs", epochs), ("batch_size", batch_size),
+                       ("eval_every", eval_every)):
+        if value < 1:
+            raise ConfigError(f"{key} must be at least 1, got {value}")
     _keep_freed_memory()
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scdkit.backbone import PYRAMID_STRIDES, SiameseEncoder
+from scdkit.backbone import SiameseEncoder
 from scdkit.errors import ShapeError
 from scdkit.tensor import Tensor
 
@@ -17,14 +17,16 @@ class TestGeometry:
     def test_strides_and_channels(self, encoder):
         x = Tensor(np.random.default_rng(0).random((2, 3, 64, 64)))
         pyr = encoder(x)
-        for lvl, stride, ch in zip(pyr.levels, PYRAMID_STRIDES, (4, 8, 16, 32)):
-            assert lvl.shape == (2, ch, 64 // stride, 64 // stride)
+        # strides 4/8/16/32, channels b/2b/4b/8b
+        assert isinstance(pyr, tuple)
+        assert [lvl.shape for lvl in pyr] == [(2, 4, 16, 16), (2, 8, 8, 8),
+                                              (2, 16, 4, 4), (2, 32, 2, 2)]
 
     @pytest.mark.parametrize("hw", [(32, 32), (64, 32), (96, 160)])
     def test_rectangular_inputs(self, encoder, hw):
         h, w = hw
         pyr = encoder(Tensor(np.zeros((1, 3, h, w))))
-        assert pyr.levels[-1].shape[2:] == (h // 32, w // 32)
+        assert pyr[-1].shape[2:] == (h // 32, w // 32)
 
     @pytest.mark.parametrize("hw", [(30, 64), (64, 40), (16, 16)])
     def test_indivisible_input_raises(self, encoder, hw):
@@ -43,14 +45,14 @@ class TestSharing:
         x = rng.random((1, 3, 32, 32))
         a = encoder(Tensor(x.copy()))
         b = encoder(Tensor(x.copy()))
-        for la, lb in zip(a.levels, b.levels):
+        for la, lb in zip(a, b):
             np.testing.assert_array_equal(la.data, lb.data)
 
     def test_distinct_inputs_yield_distinct_features(self, encoder):
         rng = np.random.default_rng(6)
         a = encoder(Tensor(rng.random((1, 3, 32, 32))))
         b = encoder(Tensor(rng.random((1, 3, 32, 32))))
-        assert not np.allclose(a.levels[0].data, b.levels[0].data)
+        assert not np.allclose(a[0].data, b[0].data)
 
     def test_construction_is_seeded(self):
         e1 = SiameseEncoder((4, 8, 16, 32), np.random.default_rng(9))
@@ -65,7 +67,7 @@ class TestGradientFlow:
         from scdkit import tensor as T
         x = Tensor(np.random.default_rng(1).random((1, 3, 32, 32)))
         pyr = encoder(x)
-        loss = T.tsum(T.stack([T.tsum(T.mul(l, l)) for l in pyr.levels]))
+        loss = T.tsum(T.stack([T.tsum(T.mul(l, l)) for l in pyr]))
         T.backward(loss)
         missing = [n for n, p in encoder.named_parameters() if p.grad is None]
         assert missing == []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from scdkit import tensor as T
-from scdkit.backbone import FeaturePyramid
 from scdkit.errors import ShapeError
 from scdkit.fusion import BtffBranch, FusePair, FusePairConcat, Integrate
 from scdkit.tensor import Tensor
@@ -18,7 +17,7 @@ def rng():
 def make_pyramid(rng, b=1, base=2, hw=64):
     levels = [Tensor(rng.standard_normal((b, base * (2 ** i), hw >> (2 + i), hw >> (2 + i))))
               for i in range(4)]
-    return FeaturePyramid(levels=levels)
+    return tuple(levels)
 
 
 class TestBranchInputs:

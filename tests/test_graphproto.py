@@ -6,8 +6,9 @@ import pytest
 from scdkit import graphproto as gp
 from scdkit import tensor as T
 from scdkit.errors import NumericError, ShapeError
-from scdkit.gradcheck import check
 from scdkit.tensor import Tensor
+
+from gradcheck_helper import check
 
 
 @pytest.fixture
@@ -20,13 +21,14 @@ class TestMedianSigma:
         f = rng.standard_normal((9, 4))
         dist = np.linalg.norm(f[:, None] - f[None, :], axis=-1)
         want = np.median(dist[~np.eye(9, dtype=bool)])
-        assert gp.median_sigma(f) == pytest.approx(want, abs=1e-15)
+        got = gp.median_sigma(T.pairwise_l2(Tensor(f)).data)
+        assert got == pytest.approx(want, abs=1e-15)
 
     def test_identical_points_fall_back(self):
-        assert gp.median_sigma(np.ones((5, 3))) == 1.0
+        assert gp.median_sigma(np.zeros((5, 5))) == 1.0
 
     def test_single_node_falls_back(self):
-        assert gp.median_sigma(np.zeros((1, 3))) == 1.0
+        assert gp.median_sigma(np.zeros((1, 1))) == 1.0
 
 
 class TestAdjacency:
@@ -35,18 +37,18 @@ class TestAdjacency:
         sigma = 0.8
         dist = np.linalg.norm(f[:, None] - f[None, :], axis=-1)
         want = np.exp(-dist / (2 * sigma * sigma))
-        got = gp.build_adjacency(Tensor(f), sigma).data
+        got = gp.build_adjacency(T.pairwise_l2(Tensor(f)), sigma).data
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_unit_diagonal_and_symmetry(self, rng):
-        a = gp.build_adjacency(Tensor(rng.standard_normal((8, 5))), 0.5).data
+        a = gp.build_adjacency(T.pairwise_l2(Tensor(rng.standard_normal((8, 5)))), 0.5).data
         np.testing.assert_array_equal(np.diag(a), np.ones(8))
         np.testing.assert_allclose(a, a.T, atol=0)
         assert (a > 0).all() and (a <= 1).all()
 
     def test_nonpositive_sigma_rejected(self, rng):
         with pytest.raises(NumericError):
-            gp.build_adjacency(Tensor(rng.standard_normal((3, 2))), 0.0)
+            gp.build_adjacency(T.pairwise_l2(Tensor(rng.standard_normal((3, 2)))), 0.0)
 
 
 def gcn_reference(f, a, w):
@@ -59,7 +61,7 @@ def gcn_reference(f, a, w):
 class TestGcnLayer:
     def test_matches_dense_oracle(self, rng):
         f = rng.standard_normal((6, 4))
-        a = gp.build_adjacency(Tensor(f), 1.0).data
+        a = gp.build_adjacency(T.pairwise_l2(Tensor(f)), 1.0).data
         w = rng.standard_normal((4, 5))
         got = gp.gcn_layer(Tensor(f), Tensor(a), Tensor(w)).data
         np.testing.assert_allclose(got, gcn_reference(f, a, w), atol=1e-12)
@@ -72,7 +74,7 @@ class TestGcnLayer:
 
     def test_node_permutation_equivariance(self, rng):
         f = rng.standard_normal((7, 4))
-        a = gp.build_adjacency(Tensor(f), 0.9).data
+        a = gp.build_adjacency(T.pairwise_l2(Tensor(f)), 0.9).data
         w = rng.standard_normal((4, 4))
         out = gp.gcn_layer(Tensor(f), Tensor(a), Tensor(w)).data
         perm = rng.permutation(7)
@@ -90,7 +92,7 @@ class TestGcnLayer:
     def test_gradcheck(self, rng):
         # keep features strictly positive so no relu unit sits on its kink
         def build(f, w):
-            a = gp.build_adjacency(f, 1.0)
+            a = gp.build_adjacency(T.pairwise_l2(f), 1.0)
             return T.tsum(gp.gcn_layer(f, a, w))
         check(build, [rng.random((5, 3)) + 0.5, rng.random((3, 3)) + 0.2])
 
@@ -203,7 +205,7 @@ class TestPrototypeBank:
         bank = gp.PrototypeBank(2, 3)
         bank.update(rng.standard_normal((2, 3)), np.array([True, False]), 1)
         other = gp.PrototypeBank(2, 3)
-        other.load_state("bank", bank.state("bank"))
+        other.load_state(bank.state())
         np.testing.assert_array_equal(other.global_t1, bank.global_t1)
         assert other.seen_t1.tolist() == bank.seen_t1.tolist()
 

@@ -5,9 +5,10 @@ import pytest
 
 from scdkit import tensor as T
 from scdkit.errors import DataError, ShapeError
-from scdkit.gradcheck import check
 from scdkit.heads import Head, change_loss, cross_entropy, seg_loss
 from scdkit.tensor import Tensor
+
+from gradcheck_helper import check
 
 
 @pytest.fixture

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from scdkit import tensor as T
-from scdkit.backbone import FeaturePyramid
 from scdkit.errors import ShapeError
-from scdkit.gradcheck import check
 from scdkit.interaction import ConcatLevels, LevelMerge, SelfQueryLevel, SqmlfiBranch
 from scdkit.tensor import Tensor
+
+from gradcheck_helper import check
 
 
 @pytest.fixture
@@ -20,7 +20,7 @@ def make_pyramid(rng, b=1, base=2, hw=32, requires_grad=False):
     levels = [Tensor(rng.standard_normal((b, base * (2 ** i), hw >> (2 + i), hw >> (2 + i))),
                      requires_grad=requires_grad)
               for i in range(4)]
-    return FeaturePyramid(levels=levels)
+    return tuple(levels)
 
 
 def count_ops(out, op):
@@ -163,11 +163,11 @@ class TestNoIdentityResize:
         br.eval()
         br.merge.weight.data[...] = [1.0, 0.0, 0.0, 0.0]
         br.merge.bias.data[...] = 0.0
-        level0 = br.levels[0](pyr.levels[0], pyr.levels[0].shape[2:])
+        level0 = br.levels[0](pyr[0], pyr[0].shape[2:])
         assert level0._entry.op == "batchnorm2d"
         np.testing.assert_array_equal(br(pyr).data, level0.data)
         cat = ConcatLevels((2, 4, 8, 16))(pyr)
-        assert cat._entry.inputs[0] is pyr.levels[0]
+        assert cat._entry.inputs[0] is pyr[0]
 
 
 class TestConcatLevels:
@@ -178,7 +178,7 @@ class TestConcatLevels:
         out = br(pyr)
         assert out.shape == (1, 30, 8, 8)
         # first block is level 0 untouched (resize to own size is identity)
-        np.testing.assert_array_equal(out.data[:, :2], pyr.levels[0].data)
+        np.testing.assert_array_equal(out.data[:, :2], pyr[0].data)
 
     def test_has_no_parameters(self):
         assert list(ConcatLevels((2, 4, 8, 16)).parameters()) == []

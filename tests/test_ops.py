@@ -7,8 +7,9 @@ import pytest
 from scdkit import ops
 from scdkit import tensor as T
 from scdkit.errors import ShapeError
-from scdkit.gradcheck import check
 from scdkit.tensor import Tensor
+
+from gradcheck_helper import check
 
 
 @pytest.fixture

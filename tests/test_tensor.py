@@ -5,8 +5,10 @@ import pytest
 
 from scdkit import tensor as T
 from scdkit.errors import AutodiffError, NumericError, ShapeError
-from scdkit.gradcheck import check, relative_error
+from scdkit.gradcheck import relative_error
 from scdkit.tensor import Tensor, backward
+
+from gradcheck_helper import check
 
 
 @pytest.fixture
@@ -237,7 +239,7 @@ class TestOpGradients:
     def test_stack_concat_select(self, rng):
         def build(a, b):
             cat = T.concat([a, b], axis=0)
-            stk = T.stack([T.select_index(cat, 0), T.select_index(cat, 3)], axis=0)
+            stk = T.stack([T.select_index(cat, 0), T.select_index(cat, 3)])
             return T.tsum(T.mul(stk, stk))
         check(build, [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))])
 

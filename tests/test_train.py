@@ -10,7 +10,7 @@ import pytest
 from scdkit import optim, serialize, train
 from scdkit import tensor as T
 from scdkit.data import SceneSpec, collate, generate
-from scdkit.errors import NumericError
+from scdkit.errors import ConfigError, NumericError
 from scdkit.metrics import ConfusionMatrix, scores
 from scdkit.model import ChangeDetectionModel, ModelConfig
 from scdkit.tensor import Tensor
@@ -144,6 +144,15 @@ class TestTrainModel:
         assert isinstance(hist[2]["miou"], float)
         middle = (run / "history.csv").read_text().splitlines()[2]
         assert middle.endswith(",,,,")
+
+    @pytest.mark.parametrize("kw", [{"epochs": 0}, {"epochs": -1}, {"batch_size": 0},
+                                    {"eval_every": 0}])
+    def test_counts_below_one_rejected_before_any_write(self, samples, tmp_path, kw):
+        run = tmp_path / "run"
+        args = {"epochs": 1, "batch_size": 2, **kw}
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            train_model(make(), samples, lr=1e-3, seed=0, run_dir=str(run), **args)
+        assert not run.exists()
 
     def test_checkpoint_restores_final_model_and_optimizer(self, samples, tmp_path):
         run = tmp_path / "run"
