@@ -13,7 +13,7 @@ import numpy as np
 from . import graphproto as gp
 from . import ops
 from . import tensor as T
-from .gradcheck import DEFAULT_TOLERANCE, relative_error
+from .gradcheck import TOLERANCE, relative_error
 from .heads import change_loss, seg_loss
 from .optim import UncertaintyWeights
 from .tensor import Tensor
@@ -115,7 +115,7 @@ def _conv_transpose(rng):
     p = _probe(rng, (1, 2, 6, 6))
 
     def build(x, w, b):
-        return T.tsum(T.mul(ops.conv_transpose2d(x, w, b, stride=2, padding=1), p))
+        return T.tsum(T.mul(ops.conv_transpose2d(x, w, b), p))
     return build, [rng.standard_normal((1, 3, 3, 3)),
                    rng.standard_normal((3, 2, 4, 4)),
                    rng.standard_normal(2)]
@@ -224,13 +224,14 @@ _REGISTRY = {
 }
 
 
-def run_all(seeds, tolerance: float = DEFAULT_TOLERANCE) -> list[CheckResult]:
-    """Worst relative error per registry entry across ``seeds``."""
+def run_all(seeds) -> list[CheckResult]:
+    """Worst relative error per registry entry across ``seeds``; an entry
+    passes below ``gradcheck.TOLERANCE`` (1e-4)."""
     results = []
     for name, factory in _REGISTRY.items():
         worst = 0.0
         for seed in seeds:
             build, inputs = factory(np.random.default_rng(seed))
             worst = max(worst, relative_error(build, inputs))
-        results.append(CheckResult(name, worst, worst < tolerance))
+        results.append(CheckResult(name, worst, worst < TOLERANCE))
     return results

@@ -10,6 +10,7 @@ consistent by construction. Every sample derives its own rng from
 from __future__ import annotations
 
 import colorsys
+import math
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -36,14 +37,14 @@ class SceneSpec:
 
     def __post_init__(self):
         h, w = self.size
-        if h % 32 or w % 32:
-            raise DataError(f"scene size must be divisible by 32, got {h}x{w}")
+        if h < 1 or w < 1 or h % 32 or w % 32:
+            raise DataError(f"scene size must be a positive multiple of 32, got {h}x{w}")
         if self.n_classes < 2:
             raise DataError(f"need at least 2 classes (background + 1), got {self.n_classes}")
         if not 0.0 < self.change_fraction < 1.0:
             raise DataError(f"change_fraction must be in (0,1), got {self.change_fraction}")
-        if self.noise_std < 0:
-            raise DataError(f"noise_std must be nonnegative, got {self.noise_std}")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise DataError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
         if self.n_shapes < 0:
             raise DataError(f"n_shapes must be nonnegative, got {self.n_shapes}")
 

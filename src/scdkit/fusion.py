@@ -76,9 +76,9 @@ class Integrate(nn.Module):
 
     def __init__(self, channels: int, rng: np.random.Generator):
         super().__init__()
-        self.up4 = nn.ConvTranspose2d(channels, channels, 4, rng, stride=2, padding=1)
-        self.up3 = nn.ConvTranspose2d(channels, channels, 4, rng, stride=2, padding=1)
-        self.up2 = nn.ConvTranspose2d(channels, channels, 4, rng, stride=2, padding=1)
+        self.up4 = nn.ConvTranspose2d(channels, channels, rng)
+        self.up3 = nn.ConvTranspose2d(channels, channels, rng)
+        self.up2 = nn.ConvTranspose2d(channels, channels, rng)
 
     def forward(self, f1, f2, f3, f4) -> Tensor:
         total = T.add(self.up4(f4), f3)

@@ -12,11 +12,11 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
-DEFAULT_STEP = 1e-5
-DEFAULT_TOLERANCE = 1e-4
+STEP = 1e-5
+TOLERANCE = 1e-4
 
 
-def numeric_gradients(fn, inputs: list[np.ndarray], h: float = DEFAULT_STEP) -> list[np.ndarray]:
+def numeric_gradients(fn, inputs: list[np.ndarray]) -> list[np.ndarray]:
     """Central-difference gradients of ``fn`` w.r.t. every element of every input.
 
     ``fn`` receives plain numpy arrays and must return a python float.
@@ -28,9 +28,9 @@ def numeric_gradients(fn, inputs: list[np.ndarray], h: float = DEFAULT_STEP) -> 
         for i in range(base.size):
             args_plus = [a.copy() for a in inputs]
             args_minus = [a.copy() for a in inputs]
-            args_plus[k].reshape(-1)[i] += h
-            args_minus[k].reshape(-1)[i] -= h
-            flat[i] = (fn(*args_plus) - fn(*args_minus)) / (2.0 * h)
+            args_plus[k].reshape(-1)[i] += STEP
+            args_minus[k].reshape(-1)[i] -= STEP
+            flat[i] = (fn(*args_plus) - fn(*args_minus)) / (2.0 * STEP)
         grads.append(g)
     return grads
 
@@ -46,7 +46,7 @@ def analytic_gradients(build, inputs: list[np.ndarray]) -> list[np.ndarray]:
     return [leaf.grad.copy() for leaf in leaves]
 
 
-def relative_error(build, inputs: list[np.ndarray], h: float = DEFAULT_STEP) -> float:
+def relative_error(build, inputs: list[np.ndarray]) -> float:
     """Worst relative disagreement between analytic and numeric gradients.
 
     The error is ||a - n||_inf / max(||a||_inf, ||n||_inf, 1) per input,
@@ -57,7 +57,7 @@ def relative_error(build, inputs: list[np.ndarray], h: float = DEFAULT_STEP) -> 
     def scalar_fn(*arrays):
         return build(*[Tensor(a) for a in arrays]).item()
 
-    numeric = numeric_gradients(scalar_fn, inputs, h=h)
+    numeric = numeric_gradients(scalar_fn, inputs)
     worst = 0.0
     for a, n in zip(analytic, numeric):
         denom = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(n), initial=0.0), 1.0)

@@ -199,11 +199,10 @@ class GaplBranch(nn.Module):
     mean renormalizes over the active set.
     """
 
-    def __init__(self, dim: int, n_classes: int, rng: np.random.Generator,
-                 beta: float = 0.9):
+    def __init__(self, dim: int, n_classes: int, rng: np.random.Generator):
         super().__init__()
         self.aggregator = GraphAggregator(dim, rng)
-        self.bank = PrototypeBank(n_classes, dim, beta=beta)
+        self.bank = PrototypeBank(n_classes, dim)
         self.n_classes = n_classes
 
     @staticmethod
@@ -250,11 +249,8 @@ class GaplBranch(nn.Module):
         else:
             rows1 = self._select_rows(p1, present1, self.bank.global_t1, active)
             rows2 = self._select_rows(p2, present2, self.bank.global_t2, active)
-            a11 = affinity(rows1, rows1)
-            a22 = affinity(rows2, rows2)
-            a12 = affinity(rows1, rows2)
-            loss = cpa_loss(a11, a22, a12)
-            info["a11"], info["a22"], info["a12"] = a11.data, a22.data, a12.data
+            loss = cpa_loss(affinity(rows1, rows1), affinity(rows2, rows2),
+                            affinity(rows1, rows2))
 
         if self.training:
             self.bank.update(p1.data, present1, 1)

@@ -38,7 +38,6 @@ class ModelConfig:
     use_sqmlfi: bool = True
     use_btff: bool = True
     use_mto: bool = True
-    beta: float = 0.9
 
     def __post_init__(self):
         if self.n_classes < 2:
@@ -76,8 +75,7 @@ class ChangeDetectionModel(nn.Module):
                              cfg.n_classes, 1, stream(3))
         self.change_head = Head(self.fuser.out_channels, cfg.change_channels, 2, 3,
                                 stream(4))
-        self.gapl = GaplBranch(chans[3], cfg.n_classes, stream(5),
-                               beta=cfg.beta) if cfg.use_gapl else None
+        self.gapl = GaplBranch(chans[3], cfg.n_classes, stream(5)) if cfg.use_gapl else None
         self.uncertainty = UncertaintyWeights() if cfg.use_mto else None
 
     @property
@@ -96,7 +94,7 @@ class ChangeDetectionModel(nn.Module):
         return pyr1, pyr2, (seg4_1, seg4_2), (seg_full_1, seg_full_2), cd_full
 
     def forward_losses(self, t1, t2, y1, y2, cd) -> dict:
-        """All loss terms plus full-resolution logits for one batch.
+        """The four loss terms of one batch.
 
         ``loss_merge`` is the uncertainty-merged pair (or the plain sum when
         that branch is ablated); ``loss_cpa`` is a constant zero when the
@@ -111,21 +109,17 @@ class ChangeDetectionModel(nn.Module):
             with T.no_grad():  # the confidences are constants of the loss
                 conf1 = pool_confidence(T.softmax(seg4[0], axis=1).data, factor)
                 conf2 = pool_confidence(T.softmax(seg4[1], axis=1).data, factor)
-            loss_cpa, gapl_info = self.gapl(pyr1[3], pyr2[3], conf1, conf2)
+            loss_cpa, _ = self.gapl(pyr1[3], pyr2[3], conf1, conf2)
         else:
-            loss_cpa, gapl_info = Tensor(0.0), {}
+            loss_cpa = Tensor(0.0)
 
         if self.uncertainty is not None:
             loss_merge = self.uncertainty.merge(loss_ss, loss_cd)
         else:
             loss_merge = T.add(loss_ss, loss_cd)
 
-        return {
-            "loss_ss": loss_ss, "loss_cd": loss_cd,
-            "loss_cpa": loss_cpa, "loss_merge": loss_merge,
-            "seg_logits": seg_full, "cd_logits": cd_full,
-            "gapl_info": gapl_info,
-        }
+        return {"loss_ss": loss_ss, "loss_cd": loss_cd,
+                "loss_cpa": loss_cpa, "loss_merge": loss_merge}
 
     def predict(self, t1, t2):
         """Argmax predictions (sem_t1, sem_t2, change) as int64 maps.
@@ -163,13 +157,24 @@ class ChangeDetectionModel(nn.Module):
     @classmethod
     def config_from_state(cls, state: dict[str, np.ndarray]) -> ModelConfig:
         """Rebuild the config from its ``config.*`` entries, each cast to the
-        field's declared type; entries of no current field are ignored."""
+        field's declared type; entries of no current field are ignored.
+
+        Every field is an int or a bool: an entry that is not a scalar whole
+        number, or a bool entry other than 0 and 1, raises ``FormatError``.
+        """
         types = typing.get_type_hints(ModelConfig)
-        try:
-            kwargs = {f.name: types[f.name](float(state[f"config.{f.name}"]))
-                      for f in fields(ModelConfig)}
-        except KeyError as exc:
-            raise FormatError(f"checkpoint is missing config entry {exc}") from exc
+        kwargs = {}
+        for f in fields(ModelConfig):
+            key = f"config.{f.name}"
+            if key not in state:
+                raise FormatError(f"checkpoint is missing config entry {key!r}")
+            if np.ndim(state[key]) != 0:
+                raise FormatError(f"checkpoint entry {key} is not a scalar")
+            kind, value = types[f.name], float(state[key])
+            if not (value in (0.0, 1.0) if kind is bool else value.is_integer()):
+                raise FormatError(f"checkpoint entry {key} is {value!r}, "
+                                  f"not a valid {kind.__name__}")
+            kwargs[f.name] = kind(value)
         return ModelConfig(**kwargs)
 
     @classmethod

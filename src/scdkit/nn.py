@@ -153,19 +153,16 @@ class Conv2d(Module):
 
 
 class ConvTranspose2d(Module):
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, stride: int = 2, padding: int = 1):
+    """The x2 upsampler of :func:`ops.conv_transpose2d` (4x4 kernel)."""
+
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
         super().__init__()
-        self.stride = stride
-        self.padding = padding
-        fan_in = in_channels * kernel_size * kernel_size
         self.weight = Parameter(kaiming_uniform(
-            rng, (in_channels, out_channels, kernel_size, kernel_size), fan_in))
+            rng, (in_channels, out_channels, 4, 4), in_channels * 16))
         self.bias = Parameter(np.zeros(out_channels))
 
     def forward(self, x) -> Tensor:
-        return ops.conv_transpose2d(x, self.weight, self.bias,
-                                    stride=self.stride, padding=self.padding)
+        return ops.conv_transpose2d(x, self.weight, self.bias)
 
 
 class BatchNorm2d(Module):

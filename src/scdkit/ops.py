@@ -2,8 +2,9 @@
 resizing, batch normalization and per-channel helpers.
 
 Convolution is a channels-first im2col, (B, C*k*k, OH*OW), times the
-(Cout, C*k*k) weight matrix; the transposed convolution is its adjoint (the
-col2im scatter), so the two stay gradient-consistent by construction.
+(Cout, C*k*k) weight matrix; the transposed convolution, a fixed x2
+upsampler, is its adjoint (the col2im scatter), so the two stay
+gradient-consistent by construction.
 Bilinear resizing is separable: one interpolation matrix per spatial axis.
 All spatial tensors are (B, C, H, W).
 """
@@ -101,31 +102,24 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
     return _record("conv2d", out.reshape(b, cout, oh, ow), (x, weight, bias), bw)
 
 
-def conv_transpose2d(x, weight, bias, stride: int = 2, padding: int = 1) -> Tensor:
-    """Transposed 2-D convolution, the adjoint of :func:`conv2d`.
+def conv_transpose2d(x, weight, bias) -> Tensor:
+    """The x2 upsampler: transposed 2-D convolution with a 4x4 kernel, stride
+    2 and padding 1, the adjoint of :func:`conv2d` at that geometry.
 
-    x (B, Cin, H, W), weight (Cin, Cout, k, k), bias (Cout,).
-    Output spatial dims: (H-1)*stride - 2*padding + k.
+    x (B, Cin, H, W), weight (Cin, Cout, 4, 4), bias (Cout,) -> (B, Cout, 2H, 2W).
     """
     if x.ndim != 4 or weight.ndim != 4:
         raise ShapeError(f"conv_transpose2d: x {x.shape}, weight {weight.shape}")
     b, cin, h, w = x.shape
-    wcin, cout, k, k2 = weight.shape
-    if k != k2 or wcin != cin:
-        raise ShapeError(f"conv_transpose2d: weight {weight.shape} does not match input "
-                         f"channels {cin}")
+    wcin, cout = weight.shape[:2]
+    if weight.shape[2:] != (4, 4) or wcin != cin:
+        raise ShapeError(f"conv_transpose2d: weight {weight.shape}, expected "
+                         f"({cin}, Cout, 4, 4)")
     if bias.shape != (cout,):
         raise ShapeError(f"conv_transpose2d: bias {bias.shape}, expected ({cout},)")
-    oh = (h - 1) * stride - 2 * padding + k
-    ow = (w - 1) * stride - 2 * padding + k
-    if oh <= 0 or ow <= 0:
-        raise ShapeError(f"conv_transpose2d: empty output for input {x.shape}")
+    oh, ow = 2 * h, 2 * w
+    k, stride, padding = 4, 2, 1
     # the forward is col2im against a virtual conv whose input is the output here
-    back_h, back_w = _conv_out_hw(oh, ow, k, stride, padding)
-    if (back_h, back_w) != (h, w):
-        raise ShapeError(f"conv_transpose2d: input {x.shape} is not a valid conv output "
-                         f"for k={k}, stride={stride}, pad={padding}")
-
     x3 = x.data.reshape(b, cin, h * w)
     wmat = weight.data.reshape(cin, -1)                       # (Cin, Cout*k*k)
     out = col2im(wmat.T @ x3, (b, cout, oh, ow), k, stride, padding)

@@ -93,15 +93,12 @@ class TestForward:
         out = make(**kw).forward_losses(t1, t2, y1, y2, cd)
         for key in ("loss_ss", "loss_cd", "loss_cpa", "loss_merge"):
             assert np.isfinite(out[key].data), key
-        assert out["seg_logits"][0].shape == (2, 3, 64, 64)
-        assert out["cd_logits"].shape == (2, 2, 64, 64)
 
     def test_cpa_constant_zero_without_graph_branch(self, batch):
         t1, t2, y1, y2, cd = batch
         out = make(use_gapl=False).forward_losses(t1, t2, y1, y2, cd)
         assert out["loss_cpa"].data == 0.0
         assert not out["loss_cpa"].requires_grad
-        assert out["gapl_info"] == {}
 
     def test_merge_is_plain_sum_without_uncertainty(self, batch):
         t1, t2, y1, y2, cd = batch
@@ -175,7 +172,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(a, b)
 
     def test_ablated_config_survives(self):
-        m = make(use_btff=False, beta=0.8)
+        m = make(use_btff=False)
         cfg = ChangeDetectionModel.config_from_state(m.checkpoint_state())
         assert cfg == m.config
 
@@ -185,6 +182,7 @@ class TestCheckpoint:
         state = m.checkpoint_state()
         state["config.per_channel_merge"] = np.asarray(0.0)
         state["config.squared_kernel"] = np.asarray(0.0)
+        state["config.beta"] = np.asarray(0.9)
         clone = ChangeDetectionModel.from_checkpoint_state(state)
         assert clone.config == m.config
         m.eval(), clone.eval()

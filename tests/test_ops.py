@@ -81,36 +81,32 @@ class TestConvTranspose2d:
         x = Tensor(rng.standard_normal((1, 4, 5, 5)))
         w = Tensor(rng.standard_normal((4, 2, 4, 4)))
         b = Tensor(np.zeros(2))
-        assert ops.conv_transpose2d(x, w, b, stride=2, padding=1).shape == (1, 2, 10, 10)
+        assert ops.conv_transpose2d(x, w, b).shape == (1, 2, 10, 10)
 
-    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (4, 2, 1)])
-    def test_adjoint_of_conv(self, rng, k, stride, pad):
-        # <conv(x; W), y> == <x, deconv(y; W)> pins the construction
+    def test_adjoint_of_conv(self, rng):
+        # <conv(x; W), y> == <x, deconv(y; W)> at kernel 4, stride 2, pad 1
+        # pins the construction
         x = rng.standard_normal((2, 3, 6, 6))
-        w = rng.standard_normal((4, 3, k, k))
-        oh = (6 + 2 * pad - k) // stride + 1
-        y = rng.standard_normal((2, 4, oh, oh))
-        cx = ops.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(4)),
-                        stride=stride, padding=pad).data
-        dy = ops.conv_transpose2d(Tensor(y), Tensor(w), Tensor(np.zeros(3)),
-                                  stride=stride, padding=pad).data
+        w = rng.standard_normal((4, 3, 4, 4))
+        y = rng.standard_normal((2, 4, 3, 3))
+        cx = ops.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(4)), stride=2, padding=1).data
+        dy = ops.conv_transpose2d(Tensor(y), Tensor(w), Tensor(np.zeros(3))).data
         assert np.sum(cx * y) == pytest.approx(np.sum(x * dy), rel=1e-12)
 
     def test_gradcheck(self, rng):
         probe = Tensor(rng.standard_normal((1, 2, 6, 6)))
 
         def build(x, w, b):
-            return T.tsum(T.mul(ops.conv_transpose2d(x, w, b, stride=2, padding=1), probe))
+            return T.tsum(T.mul(ops.conv_transpose2d(x, w, b), probe))
         check(build, [rng.standard_normal((1, 3, 3, 3)),
                       rng.standard_normal((3, 2, 4, 4)),
                       rng.standard_normal(2)])
 
-    def test_empty_output_raises(self, rng):
-        # (1-1)*1 - 2*2 + 3 = -1: padding eats the whole map
+    def test_kernel_other_than_4x4_raises(self, rng):
         with pytest.raises(ShapeError):
-            ops.conv_transpose2d(Tensor(rng.standard_normal((1, 2, 1, 1))),
+            ops.conv_transpose2d(Tensor(rng.standard_normal((1, 2, 3, 3))),
                                  Tensor(rng.standard_normal((2, 2, 3, 3))),
-                                 Tensor(np.zeros(2)), stride=1, padding=2)
+                                 Tensor(np.zeros(2)))
 
 
 def bilinear_reference(x, oh, ow):
